@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke profile-smoke trace dtrace telemetry wire chaos chaos-kill litmus fuzz-short experiments examples clean
+.PHONY: all build test race bench bench-smoke profile-smoke trace dtrace telemetry wire chaos chaos-kill litmus collectives fuzz-short experiments examples clean
 
-all: build test race telemetry wire chaos chaos-kill litmus dtrace bench-smoke profile-smoke fuzz-short
+all: build test race telemetry wire chaos chaos-kill litmus collectives dtrace bench-smoke profile-smoke fuzz-short
 
 build:
 	$(GO) build ./...
@@ -27,12 +27,14 @@ bench:
 # target: ≥3x msgs/s from batching on the small-control-frame
 # microbenchmark, and the tracing gate asserts the distributed-tracing
 # acceptance target: disabled span-propagation hooks cost <2% of a
-# finish message and allocate nothing.
+# finish message and allocate nothing. The collectives pins assert that a
+# steady-state all-to-all and all-reduce allocate nothing payload-sized.
 bench-smoke:
 	$(GO) run ./cmd/apgas-bench -exp uts -scale tiny -bench-json /tmp/apgas-bench-smoke.json -bench-reps 1
 	$(GO) run ./cmd/tracecheck -bench /tmp/apgas-bench-smoke.json
 	$(GO) run ./cmd/benchdiff /tmp/apgas-bench-smoke.json /tmp/apgas-bench-smoke.json
 	$(GO) test -run 'TestTransportBatchSpeedup|TestCodecSpeedup|TestOneSidedBandwidth|TestTracingDisabledOverhead|TestProfilingDisabledOverhead|TestWireLedgerDisabledOverhead' -count=1 -v ./internal/harness
+	$(GO) test -run 'TestSteadyStateAllocations' -count=1 -v ./internal/collectives
 
 # Continuous-profiling smoke: run the dense workload with pprof labels
 # and enough spin per phase to land real CPU samples, capture a profile,
@@ -110,6 +112,16 @@ chaos-kill:
 litmus:
 	$(GO) test -race -run 'TestLitmus' ./internal/core
 	$(GO) test -race -run 'TestDeath' ./internal/x10rt/transporttest
+
+# Team collectives: the package under the race detector — the differential
+# test against ModeNative over team sizes 1-9 and sub-teams, the member-death
+# cases, and the 32-seed reuse sweep that holds one member back behind a
+# delaying, reordering transport — then the allocation pins without the
+# detector, whose bookkeeping would count.
+collectives:
+	$(GO) vet ./internal/collectives/...
+	$(GO) test -race -count=1 ./internal/collectives/...
+	$(GO) test -run 'TestSteadyStateAllocations' -count=1 -v ./internal/collectives
 
 # 30 seconds of coverage-guided fuzzing per target: the x10rt TCP frame
 # and batch-frame codecs and the tracecheck flight-dump and

@@ -136,8 +136,8 @@ func runDense(opts denseOptions) error {
 				panic(err)
 			}
 		}
-		// One emulated collective round: team traffic rides
-		// HandlerTeamCtl and shows up as flow.team arrows.
+		// One emulated collective round: team traffic rides the
+		// one-sided lane and shows up as a team.allreduce span per place.
 		g := core.WorldGroup(rt)
 		if err := g.Broadcast(c, func(cc *core.Ctx) {
 			collectives.AllReduce(team, cc, []int64{int64(cc.Place())},

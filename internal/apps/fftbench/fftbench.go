@@ -68,27 +68,37 @@ func Run(rt *core.Runtime, cfg Config) (Result, error) {
 	}
 
 	team := collectives.New(rt, core.WorldGroup(rt), cfg.Mode)
+	defer team.Close()
 	// Local storage: each place holds R/P rows of the R x C view, then
 	// C/P rows of the transposed C x R view, alternating through phases.
 	rowsR := r / places // rows per place in R x C view
 	rowsC := c / places // rows per place in C x R view
 
-	type local struct {
-		data []complex128 // current local rows, row-major
-	}
+	// One buffer of N points serves every place as the staging area of its
+	// transposes and, once they are done, verify as the reference vector.
+	scratch := make([]complex128, n)
 	locals := core.NewPlaceLocal(rt, func(p core.Place) *local {
 		// Initial distribution: rows [p*rowsR, (p+1)*rowsR) of the R x C
 		// matrix A[i][j] = x[i*C + j].
-		d := make([]complex128, rowsR*c)
 		base := int(p) * rowsR * c
-		for t := range d {
-			d[t] = input(cfg.Seed, base+t)
+		me := &local{
+			data: make([]complex128, rowsR*c),
+			pack: scratch[base : base+rowsR*c],
+			send: make([][]complex128, places),
 		}
-		return &local{data: d}
+		for t := range me.data {
+			me.data[t] = input(cfg.Seed, base+t)
+		}
+		return me
 	})
+	defer locals.Free()
+	twiddle, err := fft.NewTwiddleTable(n)
+	if err != nil {
+		return Result{}, fmt.Errorf("fftbench: %w", err)
+	}
 
 	var seconds float64
-	err := rt.Run(func(ctx *core.Ctx) {
+	err = rt.Run(func(ctx *core.Ctx) {
 		world := core.WorldGroup(rt)
 		if err := world.Broadcast(ctx, func(cc *core.Ctx) { locals.Get(cc) }); err != nil {
 			panic(err)
@@ -107,7 +117,7 @@ func Run(rt *core.Runtime, cfg Config) (Result, error) {
 				cs.AtAsync(p, func(cc *core.Ctx) {
 					me := locals.Get(cc)
 					// Step 1: transpose R x C -> C x R.
-					me.data = transpose(cc, team, me.data, rowsR, c, places)
+					me.transpose(cc, team, rowsR, c)
 					// Step 2: length-R FFT on each local row.
 					for row := 0; row < rowsC; row++ {
 						planR.Forward(me.data[row*r : (row+1)*r])
@@ -116,19 +126,20 @@ func Run(rt *core.Runtime, cfg Config) (Result, error) {
 					jBase := int(cc.Place()) * rowsC
 					for row := 0; row < rowsC; row++ {
 						j := jBase + row
-						for pIdx := 0; pIdx < r; pIdx++ {
-							me.data[row*r+pIdx] *= fft.Twiddle(n, j*pIdx)
+						line := me.data[row*r : (row+1)*r]
+						for pIdx := range line {
+							line[pIdx] *= twiddle.At(j * pIdx)
 						}
 					}
 					// Step 4: transpose C x R -> R x C.
-					me.data = transpose(cc, team, me.data, rowsC, r, places)
+					me.transpose(cc, team, rowsC, r)
 					// Step 5: length-C FFT on each local row.
 					for row := 0; row < rowsR; row++ {
 						planC.Forward(me.data[row*c : (row+1)*c])
 					}
 					// Step 6: transpose R x C -> C x R; the result rows
 					// are X[q*R + p] in natural order.
-					me.data = transpose(cc, team, me.data, rowsR, c, places)
+					me.transpose(cc, team, rowsR, c)
 				})
 			}
 		})
@@ -141,8 +152,8 @@ func Run(rt *core.Runtime, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("fftbench: %w", err)
 	}
 
-	maxErr := verify(cfg, n, places, rowsC, r, func(p, t int) complex128 {
-		return locals.At(core.Place(p)).data[t]
+	maxErr := verify(cfg, scratch, places, rowsC, r, func(p int) []complex128 {
+		return locals.At(core.Place(p)).data
 	})
 	return Result{
 		N:       n,
@@ -152,47 +163,53 @@ func Run(rt *core.Runtime, cfg Config) (Result, error) {
 	}, nil
 }
 
-// transpose redistributes a row-distributed M x K matrix (each of P places
-// holds rows (M/P) x K, row-major) into its K x M transpose (each place
-// ends with (K/P) x M): local shuffle into per-destination blocks, an
-// all-to-all, and a second local shuffle.
-func transpose(ctx *core.Ctx, team *collectives.Team, data []complex128, myRows, k, places int) []complex128 {
+// local is one place's share of the transform: the current rows and the
+// staging buffer the transposes reuse, so the timed section allocates
+// nothing.
+type local struct {
+	data []complex128   // current local rows, row-major
+	pack []complex128   // backing of the chunks handed to the all-to-all
+	send [][]complex128 // per-destination views of pack
+}
+
+// transpose redistributes the row-distributed M x K matrix in me.data (each
+// of P places holds myRows = M/P rows of k columns, row-major) into its
+// K x M transpose (each place ends with (K/P) x M): local shuffle into
+// per-destination blocks, an all-to-all, and a second local shuffle.
+func (me *local) transpose(ctx *core.Ctx, team *collectives.Team, myRows, k int) {
+	places := len(me.send)
 	kLocal := k / places // transposed rows per place
 	// Shuffle 1: chunk for destination d = my rows x columns
 	// [d*kLocal, (d+1)*kLocal), transposed so it lands row-major.
-	send := make([][]complex128, places)
-	for d := 0; d < places; d++ {
-		chunk := make([]complex128, kLocal*myRows)
+	for d := range me.send {
+		chunk := me.pack[d*kLocal*myRows : (d+1)*kLocal*myRows]
 		for col := 0; col < kLocal; col++ {
 			gcol := d*kLocal + col
 			for row := 0; row < myRows; row++ {
-				chunk[col*myRows+row] = data[row*k+gcol]
+				chunk[col*myRows+row] = me.data[row*k+gcol]
 			}
 		}
-		send[d] = chunk
+		me.send[d] = chunk
 	}
-	recv := collectives.AllToAll(team, ctx, send)
+	recv := collectives.AllToAll(team, ctx, me.send)
 	// Shuffle 2: received chunk from source s holds my kLocal rows'
 	// segment of columns that s owned: rows local, cols [s*myRows, ...).
+	// Shuffle 1 moved every value out of data, so the result goes there.
 	m := myRows * places // original global rows = transposed row length
-	out := make([]complex128, kLocal*m)
-	for s := 0; s < places; s++ {
-		chunk := recv[s]
+	for s, chunk := range recv {
 		for col := 0; col < kLocal; col++ {
-			copy(out[col*m+s*myRows:col*m+(s+1)*myRows], chunk[col*myRows:(col+1)*myRows])
+			copy(me.data[col*m+s*myRows:col*m+(s+1)*myRows], chunk[col*myRows:(col+1)*myRows])
 		}
 	}
-	return out
 }
 
-// verify compares a sample (or all, for small N) of the distributed result
-// against a sequential transform of the regenerated input.
-func verify(cfg Config, n, places, rowsC, r int, at func(p, t int) complex128) float64 {
-	ref := make([]complex128, n)
+// verify compares the distributed result against a sequential transform
+// of the regenerated input, computed in ref (N points, overwritten).
+func verify(cfg Config, ref []complex128, places, rowsC, r int, rows func(p int) []complex128) float64 {
 	for i := range ref {
 		ref[i] = input(cfg.Seed, i)
 	}
-	plan, err := fft.NewPlan(n)
+	plan, err := fft.NewPlan(len(ref))
 	if err != nil {
 		return -1
 	}
@@ -201,10 +218,11 @@ func verify(cfg Config, n, places, rowsC, r int, at func(p, t int) complex128) f
 	// The final layout: place p holds rows [p*rowsC, (p+1)*rowsC) of the
 	// C x R result, row q of which is X[q*R : q*R+R].
 	for p := 0; p < places; p++ {
+		got := rows(p)
 		for row := 0; row < rowsC; row++ {
 			q := p*rowsC + row
 			for pi := 0; pi < r; pi++ {
-				diff := at(p, row*r+pi) - ref[q*r+pi]
+				diff := got[row*r+pi] - ref[q*r+pi]
 				if e := abs(diff); e > maxErr {
 					maxErr = e
 				}

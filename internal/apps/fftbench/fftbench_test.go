@@ -43,6 +43,22 @@ func TestDistributedFFTEmulatedCollectives(t *testing.T) {
 	}
 }
 
+// TestTwiddleTableAccuracy: with step 3's factors taken from the two-level
+// table, the benchmark's acceptance rule (harness.Fig1FFT) holds at every
+// size the experiments use.
+func TestTwiddleTableAccuracy(t *testing.T) {
+	top := 20
+	if testing.Short() {
+		top = 16
+	}
+	for log2n := 10; log2n <= top; log2n++ {
+		res := runFFT(t, 4, Config{Log2N: log2n, Seed: 9, Mode: collectives.ModeEmulated})
+		if tol := 1e-6 * float64(res.N); !(res.MaxErr >= 0 && res.MaxErr <= tol) {
+			t.Errorf("log2n=%d: max error %g, want <= %g", log2n, res.MaxErr, tol)
+		}
+	}
+}
+
 func TestOddLogSizes(t *testing.T) {
 	// Odd Log2N: R != C exercises the rectangular path.
 	res := runFFT(t, 2, Config{Log2N: 9, Seed: 5})

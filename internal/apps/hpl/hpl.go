@@ -99,6 +99,14 @@ func Run(rt *core.Runtime, cfg Config) (Result, error) {
 
 	// Teams: one per process row and per process column.
 	rowTeams := make([]*collectives.Team, cfg.P)
+	colTeams := make([]*collectives.Team, cfg.Q)
+	defer func() {
+		for _, t := range append(rowTeams, colTeams...) {
+			if t != nil {
+				t.Close()
+			}
+		}
+	}()
 	for pr := 0; pr < cfg.P; pr++ {
 		members := make([]core.Place, cfg.Q)
 		for pc := 0; pc < cfg.Q; pc++ {
@@ -110,7 +118,6 @@ func Run(rt *core.Runtime, cfg Config) (Result, error) {
 		}
 		rowTeams[pr] = collectives.New(rt, g, cfg.Mode)
 	}
-	colTeams := make([]*collectives.Team, cfg.Q)
 	for pc := 0; pc < cfg.Q; pc++ {
 		members := make([]core.Place, cfg.P)
 		for pr := 0; pr < cfg.P; pr++ {
@@ -136,6 +143,7 @@ func Run(rt *core.Runtime, cfg Config) (Result, error) {
 		}
 		return l
 	})
+	defer locals.Free()
 
 	var seconds float64
 	var solution []float64

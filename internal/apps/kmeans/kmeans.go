@@ -75,7 +75,9 @@ func Run(rt *core.Runtime, cfg Config) (Result, error) {
 		}
 		return &local{points: pts}
 	})
+	defer locals.Free()
 	team := collectives.New(rt, core.WorldGroup(rt), cfg.Mode)
+	defer team.Close()
 
 	// Initial centroids: the first k global points (the standard Lloyd
 	// arbitrary initialization; deterministic here).
@@ -101,12 +103,15 @@ func Run(rt *core.Runtime, cfg Config) (Result, error) {
 					cent := append([]float64(nil), centroids...)
 					me := locals.Get(cc)
 					var localDist float64
+					gs := make([]float64, k*dim)
 					for it := 0; it < cfg.Iterations; it++ {
 						sums := make([]float64, k*dim)
 						counts := make([]int64, k)
 						localDist = assign(me.points, cent, dim, sums, counts)
-						gs := collectives.AllReduce(team, cc, sums,
-							func(a, b float64) float64 { return a + b })
+						// A collective's result is the team's scratch until
+						// the next collective: keep the sums across it.
+						copy(gs, collectives.AllReduce(team, cc, sums,
+							func(a, b float64) float64 { return a + b }))
 						gc := collectives.AllReduce(team, cc, counts,
 							func(a, b int64) int64 { return a + b })
 						for c := 0; c < k; c++ {

@@ -118,7 +118,9 @@ func Run(rt *core.Runtime, cfg Config) (Result, error) {
 		}
 		return &local{fragment: frag}
 	})
+	defer locals.Free()
 	team := collectives.New(rt, core.WorldGroup(rt), cfg.Mode)
+	defer team.Close()
 
 	var seconds float64
 	var best int32

@@ -10,69 +10,59 @@ import (
 // send[i]. send is ignored at non-root members and must have exactly
 // Size() chunks at the root.
 func Scatter[T any](t *Team, c *core.Ctx, rootRank int, send [][]T) []T {
-	seq := t.nextSeq(c)
-	me := t.rank(c)
-	n := t.Size()
-	if me == rootRank && len(send) != n {
-		panic(fmt.Sprintf("collectives: Scatter needs %d chunks, got %d", n, len(send)))
+	r := begin[T](t, c)
+	if r.me == rootRank && len(send) != r.n {
+		panic(fmt.Sprintf("collectives: Scatter needs %d chunks, got %d", r.n, len(send)))
 	}
 	if t.mode == ModeNative {
 		var contrib any
-		if me == rootRank {
-			chunks := make([]any, n)
+		if r.me == rootRank {
+			chunks := make([]any, r.n)
 			for i := range send {
 				chunks[i] = clone(send[i])
 			}
 			contrib = chunks
 		}
-		res := t.shared.rendezvous(c, me, seq, contrib, func(slots []any) any {
+		res := t.shared.rendezvous(c, r.me, r.seq, contrib, func(slots []any) any {
 			return slots[rootRank]
 		})
-		return clone(res.([]any)[me].([]T))
+		return clone(res.([]any)[r.me].([]T))
 	}
-	if me == rootRank {
-		for r := 0; r < n; r++ {
-			if r == me {
-				continue
-			}
-			sendChunk(t, c, t.members[r], key{Seq: seq, Tag: tagMove, Src: me}, clone(send[r]))
-		}
-		return clone(send[me])
+	defer r.sync() // the chunks leave from the root's own buffers
+	if r.me != rootRank {
+		return r.recv(phaseData, rootRank)
 	}
-	return recvAs[[]T](t, c, key{Seq: seq, Tag: tagMove, Src: rootRank})
+	for d := 1; d < r.n; d++ {
+		dst := (r.me + d) % r.n
+		r.send(dst, send[dst])
+	}
+	return r.keep(send[r.me])
 }
 
 // Gather collects every member's vals at the root member, in rank order;
 // non-root members receive nil.
 func Gather[T any](t *Team, c *core.Ctx, rootRank int, vals []T) [][]T {
-	seq := t.nextSeq(c)
-	me := t.rank(c)
-	n := t.Size()
+	r := begin[T](t, c)
 	if t.mode == ModeNative {
-		res := t.shared.rendezvous(c, me, seq, clone(vals), func(slots []any) any {
+		res := t.shared.rendezvous(c, r.me, r.seq, clone(vals), func(slots []any) any {
 			return slots
 		})
-		if me != rootRank {
+		if r.me != rootRank {
 			return nil
 		}
-		slots := res.([]any)
-		out := make([][]T, n)
-		for i := range slots {
-			out[i] = clone(slots[i].([]T))
+		out := make([][]T, r.n)
+		for i, slot := range res.([]any) {
+			out[i] = clone(slot.([]T))
 		}
 		return out
 	}
-	if me != rootRank {
-		sendChunk(t, c, t.members[rootRank], key{Seq: seq, Tag: tagMove, Src: me}, clone(vals))
+	defer r.sync() // nobody leaves before the root has everything
+	if r.me != rootRank {
+		r.send(rootRank, vals)
 		return nil
 	}
-	out := make([][]T, n)
-	out[me] = clone(vals)
-	for r := 0; r < n; r++ {
-		if r == me {
-			continue
-		}
-		out[r] = recvAs[[]T](t, c, key{Seq: seq, Tag: tagMove, Src: r})
-	}
+	out := make([][]T, r.n)
+	out[r.me] = r.keep(vals)
+	r.collect(out)
 	return out
 }

@@ -10,14 +10,20 @@
 //     so native collectives combine contributions through a shared
 //     rendezvous structure, the analogue of the Torrent's hardware
 //     collective acceleration.
-//   - ModeEmulated is the portable emulation layer built exclusively on
-//     point-to-point active messages (binomial trees for reduce and
-//     broadcast, direct exchange for all-to-all). It is what X10RT falls
-//     back to on networks without collective hardware.
+//   - ModeEmulated is the portable layer built exclusively on the
+//     transport's one-sided lane: puts into receive windows the team
+//     registers (binomial trees for the rooted collectives and all-reduce,
+//     direct exchange for all-to-all). It is what X10RT falls back to on
+//     networks without collective hardware. Element types without a
+//     little-endian wire form (complex128, structs) travel by reference,
+//     so a team over them needs an in-process transport.
 //
 // All members must call each collective in the same order with compatible
 // arguments (the standard SPMD contract); one activity per member place
-// participates.
+// participates. Every collective is synchronizing: no member returns
+// before every member has entered. In ModeEmulated the slices a collective
+// returns alias the team's scratch: treat them as read-only, and use or
+// copy them before the member's next collective on the same team.
 package collectives
 
 import (
@@ -25,10 +31,10 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"apgas/internal/core"
 	"apgas/internal/obs"
-	"apgas/internal/x10rt"
 )
 
 // Mode selects the collective implementation.
@@ -37,7 +43,7 @@ type Mode int
 const (
 	// ModeNative uses the shared-memory fast path.
 	ModeNative Mode = iota
-	// ModeEmulated uses point-to-point active messages only.
+	// ModeEmulated uses one-sided puts over the transport only.
 	ModeEmulated
 )
 
@@ -52,12 +58,14 @@ func (m Mode) String() string {
 // Team is a group of places participating in collective operations.
 type Team struct {
 	rt      *core.Runtime
-	id      uint64
-	group   core.PlaceGroup
+	mgr     *manager
 	mode    Mode
 	shared  *sharedState
-	locals  []*teamLocal // indexed by place
 	members []core.Place
+	rankOf  []int        // by place: 1 + the rank there, 0 for non-members
+	in      []*inbox     // by rank
+	scratch sync.Map     // reflect.Type of T -> *scratch[T]
+	dead    atomic.Int64 // 1 + the first member place to die, 0 while all live
 	m       teamMetrics
 }
 
@@ -104,6 +112,14 @@ func (t *Team) profOp(c *core.Ctx, op string, fn func()) {
 	fn()
 }
 
+// instrumented runs the calling member's part of collective op under the
+// pprof kind label and records it (counter, span) when it returns.
+func instrumented[R any](t *Team, c *core.Ctx, op string, body func() R) (out R) {
+	defer t.opDone(c, op, t.m.tr.Now())
+	t.profOp(c, op, func() { out = body() })
+	return out
+}
+
 // opDone records one collective call by the calling member: bump the
 // team.<op> counter and, when tracing, emit a span from t0 (obtained via
 // t.m.tr.Now() at operation entry) to now covering this member's
@@ -120,12 +136,17 @@ func (t *Team) opDone(c *core.Ctx, op string, t0 int64) {
 	}
 }
 
-// manager routes emulated collective traffic for one runtime; the first
-// team created on a runtime registers the transport handler.
+// manager is a runtime's collectives state: the live teams, to be told of
+// place deaths, and the window fragments closed teams left for the next.
 type manager struct {
 	mu    sync.Mutex
-	next  uint64
-	teams map[uint64]*Team
+	teams map[*Team]struct{}
+	pool  map[fragKey][]any // of []T
+}
+
+type fragKey struct {
+	elem  reflect.Type // of the fragment's elements
+	elems int
 }
 
 var managers sync.Map // *core.Runtime -> *manager
@@ -134,58 +155,98 @@ func managerFor(rt *core.Runtime) *manager {
 	if m, ok := managers.Load(rt); ok {
 		return m.(*manager)
 	}
-	m := &manager{teams: make(map[uint64]*Team)}
+	m := &manager{teams: make(map[*Team]struct{}), pool: make(map[fragKey][]any)}
 	actual, loaded := managers.LoadOrStore(rt, m)
-	mgr := actual.(*manager)
 	if !loaded {
-		if err := rt.Transport().Register(x10rt.HandlerTeamCtl, mgr.dispatch); err != nil {
-			panic(fmt.Sprintf("collectives: register handler: %v", err))
-		}
+		rt.OnClose(func() { managers.Delete(rt) })
+		rt.NotifyPlaceDeath(m.placeDied)
 	}
-	return mgr
+	return actual.(*manager)
 }
 
-func (m *manager) dispatch(src, dst int, payload any) {
-	env := payload.(envelope)
+// placeDied wakes the members of every team with a member at p: recv panics.
+func (m *manager) placeDied(p core.Place) {
 	m.mu.Lock()
-	t := m.teams[env.Team]
+	defer m.mu.Unlock()
+	for t := range m.teams {
+		if t.rankOf[p] == 0 || !t.dead.CompareAndSwap(0, int64(p)+1) {
+			continue
+		}
+		for _, in := range t.in {
+			in.mu.Lock()
+			in.cond.Signal()
+			in.mu.Unlock()
+		}
+	}
+}
+
+// fragment returns a recycled window fragment of elems elements, or a new
+// one. Stale contents are harmless: a window only exposes landed ranges.
+func fragment[T any](m *manager, elems int) []T {
+	key := fragKey{reflect.TypeFor[T](), elems}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if free := m.pool[key]; len(free) > 0 {
+		m.pool[key] = free[:len(free)-1]
+		return free[len(free)-1].([]T)
+	}
+	return make([]T, elems)
+}
+
+func recycle[T any](m *manager, frag []T) {
+	key := fragKey{reflect.TypeFor[T](), len(frag)}
+	m.mu.Lock()
+	m.pool[key] = append(m.pool[key], frag)
 	m.mu.Unlock()
-	if t == nil {
-		panic(fmt.Sprintf("collectives: message for unknown team %d", env.Team))
-	}
-	if tr := t.m.tr; tr != nil {
-		tr.RecvCtx(env.TC, "flow.team", "collective", dst, 0,
-			obs.Arg{Key: "src", Val: int64(src)})
-	}
-	t.locals[dst].put(env.K, env.Payload)
 }
 
 // New creates a team over the given group. World teams are the common
 // case: New(rt, core.WorldGroup(rt), mode).
 func New(rt *core.Runtime, group core.PlaceGroup, mode Mode) *Team {
-	mgr := managerFor(rt)
+	if mode == ModeEmulated && !rt.OneSidedEnabled() {
+		panic("collectives: ModeEmulated needs a transport with a one-sided lane")
+	}
 	t := &Team{
 		rt:      rt,
-		group:   group,
+		mgr:     managerFor(rt),
 		mode:    mode,
+		shared:  newSharedState(group.Size()),
 		members: group.Places(),
+		rankOf:  make([]int, rt.NumPlaces()),
+		in:      make([]*inbox, group.Size()),
+		m:       newTeamMetrics(rt),
 	}
-	t.m = newTeamMetrics(rt)
-	t.shared = newSharedState(group.Size())
-	t.locals = make([]*teamLocal, rt.NumPlaces())
-	for i := range t.locals {
-		t.locals[i] = newTeamLocal()
+	for r, p := range t.members {
+		t.rankOf[p] = r + 1
+		t.in[r] = &inbox{}
+		t.in[r].cond.L = &t.in[r].mu
 	}
-	mgr.mu.Lock()
-	mgr.next++
-	t.id = mgr.next
-	mgr.teams[t.id] = t
-	mgr.mu.Unlock()
+	t.mgr.mu.Lock()
+	t.mgr.teams[t] = struct{}{}
+	t.mgr.mu.Unlock()
 	return t
 }
 
+// Close unregisters the team's windows and hands their memory to the
+// runtime's collectives manager for the next team. Call it once no member
+// is inside a collective; the team and the slices its collectives returned
+// must not be used afterwards. A team never closed lives with its runtime.
+func (t *Team) Close() {
+	t.mgr.mu.Lock()
+	delete(t.mgr.teams, t)
+	t.mgr.mu.Unlock()
+	if t.dead.Load() != 0 {
+		return // survivors' puts may still be in flight: the windows stay
+	}
+	t.scratch.Range(func(key, s any) bool {
+		s.(interface{ release() }).release()
+		t.scratch.Delete(key)
+		return true
+	})
+}
+
 // Size returns the number of members.
-func (t *Team) Size() int { return t.group.Size() }
+func (t *Team) Size() int { return len(t.members) }
 
 // Mode returns the implementation mode.
 func (t *Team) Mode() Mode { return t.mode }
@@ -193,22 +254,11 @@ func (t *Team) Mode() Mode { return t.mode }
 // rank returns the caller's member index, panicking for non-members (the
 // analogue of calling a Team operation from a place outside the team).
 func (t *Team) rank(c *core.Ctx) int {
-	r := t.group.IndexOf(c.Place())
+	r := t.rankOf[c.Place()] - 1
 	if r < 0 {
 		panic(fmt.Sprintf("collectives: place %d is not a member of the team", c.Place()))
 	}
 	return r
-}
-
-// nextSeq returns this member's next collective sequence number. Matching
-// sequence numbers across members identify one collective instance.
-func (t *Team) nextSeq(c *core.Ctx) uint64 {
-	tl := t.locals[c.Place()]
-	tl.mu.Lock()
-	tl.seq++
-	s := tl.seq
-	tl.mu.Unlock()
-	return s
 }
 
 // Barrier blocks until every member has entered it.
@@ -221,192 +271,129 @@ func (t *Team) Barrier(c *core.Ctx) {
 // result at the root member (the member with rank rootRank); other members
 // receive nil. vals must have equal length at every member.
 func Reduce[T any](t *Team, c *core.Ctx, rootRank int, vals []T, op func(T, T) T) []T {
-	defer t.opDone(c, "reduce", t.m.tr.Now())
-	var out []T
-	t.profOp(c, "reduce", func() { out = reduceImpl(t, c, rootRank, vals, op) })
-	return out
-}
-
-func reduceImpl[T any](t *Team, c *core.Ctx, rootRank int, vals []T, op func(T, T) T) []T {
-	seq := t.nextSeq(c)
-	me := t.rank(c)
-	if t.mode == ModeNative {
-		res := t.shared.rendezvous(c, me, seq, clone(vals), func(slots []any) any {
-			return combineSlots(slots, op)
-		})
-		if me == rootRank {
-			return res.([]T)
+	return instrumented(t, c, "reduce", func() []T {
+		r := begin[T](t, c)
+		var res []T
+		if t.mode == ModeNative {
+			res = t.shared.rendezvous(c, r.me, r.seq, clone(vals), func(slots []any) any {
+				return combineSlots(slots, op)
+			}).([]T)
+		} else {
+			// Fold up the tree rooted at rootRank; the empty fan-out releases
+			// the members once the root has heard from all of them.
+			res = r.acc(vals)
+			r.up(phaseData, rootRank, res, op)
+			r.down(phaseDown, rootRank, nil)
 		}
-		return nil
-	}
-	part := emulatedReduceToZero(t, c, me, seq, clone(vals), op)
-	// Rank 0 holds the result; relocate to rootRank if different.
-	if rootRank == 0 {
-		return part
-	}
-	if me == 0 {
-		sendChunk(t, c, t.members[rootRank], key{Seq: seq, Tag: tagMove, Src: 0}, part)
-		return nil
-	}
-	if me == rootRank {
-		return recvAs[[]T](t, c, key{Seq: seq, Tag: tagMove, Src: 0})
-	}
-	return nil
+		if r.me != rootRank {
+			return nil
+		}
+		return res
+	})
 }
 
 // AllReduce combines the members' vals element-wise with op; every member
 // receives the combined vector.
 func AllReduce[T any](t *Team, c *core.Ctx, vals []T, op func(T, T) T) []T {
-	defer t.opDone(c, "allreduce", t.m.tr.Now())
-	var out []T
-	t.profOp(c, "allreduce", func() { out = allReduceImpl(t, c, vals, op) })
-	return out
-}
-
-func allReduceImpl[T any](t *Team, c *core.Ctx, vals []T, op func(T, T) T) []T {
-	seq := t.nextSeq(c)
-	me := t.rank(c)
-	if t.mode == ModeNative {
-		res := t.shared.rendezvous(c, me, seq, clone(vals), func(slots []any) any {
-			return combineSlots(slots, op)
-		})
-		return clone(res.([]T))
-	}
-	part := emulatedReduceToZero(t, c, me, seq, clone(vals), op)
-	return emulatedBroadcastFromZero(t, c, me, seq, part)
+	return instrumented(t, c, "allreduce", func() []T {
+		r := begin[T](t, c)
+		if t.mode == ModeNative {
+			res := t.shared.rendezvous(c, r.me, r.seq, clone(vals), func(slots []any) any {
+				return combineSlots(slots, op)
+			})
+			return clone(res.([]T))
+		}
+		// One fold order, at one root: every member returns the same bits.
+		acc := r.acc(vals)
+		r.up(phaseData, 0, acc, op)
+		return r.down(phaseDown, 0, acc)
+	})
 }
 
 // Broadcast distributes the root member's vals to every member; the
 // argument is ignored at non-root members.
 func Broadcast[T any](t *Team, c *core.Ctx, rootRank int, vals []T) []T {
-	defer t.opDone(c, "broadcast", t.m.tr.Now())
-	var out []T
-	t.profOp(c, "broadcast", func() { out = broadcastImpl(t, c, rootRank, vals) })
-	return out
-}
-
-func broadcastImpl[T any](t *Team, c *core.Ctx, rootRank int, vals []T) []T {
-	seq := t.nextSeq(c)
-	me := t.rank(c)
-	if t.mode == ModeNative {
-		var contrib any
-		if me == rootRank {
-			contrib = clone(vals)
+	return instrumented(t, c, "broadcast", func() []T {
+		r := begin[T](t, c)
+		if t.mode == ModeNative {
+			var contrib any
+			if r.me == rootRank {
+				contrib = clone(vals)
+			}
+			res := t.shared.rendezvous(c, r.me, r.seq, contrib, func(slots []any) any {
+				return slots[rootRank]
+			})
+			return clone(res.([]T))
 		}
-		res := t.shared.rendezvous(c, me, seq, contrib, func(slots []any) any {
-			return slots[rootRank]
-		})
-		return clone(res.([]T))
-	}
-	// Move root's data to rank 0, then binomial broadcast.
-	var at0 []T
-	switch {
-	case rootRank == 0:
-		if me == 0 {
-			at0 = clone(vals)
+		// The empty fan-in tells the root every member has entered; the
+		// data then flows down the same tree.
+		r.up(phaseData, rootRank, nil, nil)
+		var data []T
+		if r.me == rootRank {
+			data = r.acc(vals)
 		}
-	case me == rootRank:
-		sendChunk(t, c, t.members[0], key{Seq: seq, Tag: tagMove, Src: me}, clone(vals))
-	case me == 0:
-		at0 = recvAs[[]T](t, c, key{Seq: seq, Tag: tagMove, Src: rootRank})
-	}
-	return emulatedBroadcastFromZero(t, c, me, seq, at0)
+		return r.down(phaseDown, rootRank, data)
+	})
 }
 
 // AllGather concatenates every member's vals in rank order; every member
 // receives the full slice of slices.
 func AllGather[T any](t *Team, c *core.Ctx, vals []T) [][]T {
-	defer t.opDone(c, "allgather", t.m.tr.Now())
-	var out [][]T
-	t.profOp(c, "allgather", func() { out = allGatherImpl(t, c, vals) })
-	return out
-}
-
-func allGatherImpl[T any](t *Team, c *core.Ctx, vals []T) [][]T {
-	seq := t.nextSeq(c)
-	me := t.rank(c)
-	n := t.Size()
-	if t.mode == ModeNative {
-		res := t.shared.rendezvous(c, me, seq, clone(vals), func(slots []any) any {
-			out := make([][]T, len(slots))
-			for i, s := range slots {
-				out[i] = s.([]T)
+	return instrumented(t, c, "allgather", func() [][]T {
+		r := begin[T](t, c)
+		out := make([][]T, r.n)
+		if t.mode == ModeNative {
+			res := t.shared.rendezvous(c, r.me, r.seq, clone(vals), func(slots []any) any {
+				return slots
+			})
+			for i, part := range res.([]any) {
+				out[i] = clone(part.([]T))
 			}
 			return out
-		})
-		parts := res.([][]T)
-		out := make([][]T, n)
-		for i := range parts {
-			out[i] = clone(parts[i])
 		}
+		out[r.me] = r.keep(vals)
+		for d := 1; d < r.n; d++ {
+			r.send((r.me+d)%r.n, out[r.me])
+		}
+		r.collect(out)
 		return out
-	}
-	// Emulated: direct exchange (each member sends to all, receives all).
-	for r := 0; r < n; r++ {
-		if r == me {
-			continue
-		}
-		sendChunk(t, c, t.members[r], key{Seq: seq, Tag: tagExchange, Src: me}, clone(vals))
-	}
-	out := make([][]T, n)
-	out[me] = clone(vals)
-	for r := 0; r < n; r++ {
-		if r == me {
-			continue
-		}
-		out[r] = recvAs[[]T](t, c, key{Seq: seq, Tag: tagExchange, Src: r})
-	}
-	return out
+	})
 }
 
 // AllToAll performs the personalized exchange at the heart of the global
 // FFT transpose: member i's send[j] becomes member j's result[i]. send
 // must have exactly Size() chunks.
 func AllToAll[T any](t *Team, c *core.Ctx, send [][]T) [][]T {
-	n := t.Size()
-	if len(send) != n {
-		panic(fmt.Sprintf("collectives: AllToAll needs %d chunks, got %d", n, len(send)))
+	if len(send) != t.Size() {
+		panic(fmt.Sprintf("collectives: AllToAll needs %d chunks, got %d", t.Size(), len(send)))
 	}
-	defer t.opDone(c, "alltoall", t.m.tr.Now())
-	var out [][]T
-	t.profOp(c, "alltoall", func() { out = allToAllImpl(t, c, send) })
-	return out
-}
-
-func allToAllImpl[T any](t *Team, c *core.Ctx, send [][]T) [][]T {
-	n := t.Size()
-	seq := t.nextSeq(c)
-	me := t.rank(c)
-	if t.mode == ModeNative {
-		contrib := make([]any, n)
-		for j := range send {
-			contrib[j] = clone(send[j])
+	return instrumented(t, c, "alltoall", func() [][]T {
+		r := begin[T](t, c)
+		out := make([][]T, r.n)
+		if t.mode == ModeNative {
+			contrib := make([]any, r.n)
+			for j := range send {
+				contrib[j] = clone(send[j])
+			}
+			res := t.shared.rendezvous(c, r.me, r.seq, contrib, func(slots []any) any {
+				return slots // transpose happens on read-out
+			})
+			for i, slot := range res.([]any) {
+				out[i] = clone(slot.([]any)[r.me].([]T))
+			}
+			return out
 		}
-		res := t.shared.rendezvous(c, me, seq, contrib, func(slots []any) any {
-			return slots // transpose happens on read-out
-		})
-		slots := res.([]any)
-		out := make([][]T, n)
-		for i := 0; i < n; i++ {
-			out[i] = clone(slots[i].([]any)[me].([]T))
+		// The chunks go out straight from the caller's buffers, which it
+		// may reuse on return: hence the trailing barrier.
+		for d := 1; d < r.n; d++ {
+			dst := (r.me + d) % r.n
+			r.send(dst, send[dst])
 		}
+		out[r.me] = r.keep(send[r.me])
+		r.collect(out)
+		r.sync()
 		return out
-	}
-	out := make([][]T, n)
-	out[me] = clone(send[me])
-	for j := 0; j < n; j++ {
-		if j == me {
-			continue
-		}
-		sendChunk(t, c, t.members[j], key{Seq: seq, Tag: tagExchange, Src: me}, clone(send[j]))
-	}
-	for i := 0; i < n; i++ {
-		if i == me {
-			continue
-		}
-		out[i] = recvAs[[]T](t, c, key{Seq: seq, Tag: tagExchange, Src: i})
-	}
-	return out
+	})
 }
 
 // IndexedValue pairs a value with the rank that contributed it, for
@@ -431,8 +418,6 @@ func AllReduceMaxLoc(t *Team, c *core.Ctx, value float64, index int) IndexedValu
 	return out[0]
 }
 
-// --- helpers ---
-
 func clone[T any](v []T) []T {
 	out := make([]T, len(v))
 	copy(out, v)
@@ -451,17 +436,12 @@ func combineSlots[T any](slots []any, op func(T, T) T) []T {
 			acc = clone(v)
 			continue
 		}
-		if len(v) != len(acc) {
-			panic(fmt.Sprintf("collectives: mismatched reduce lengths %d vs %d", len(v), len(acc)))
-		}
-		for i := range acc {
-			acc[i] = op(acc[i], v[i])
-		}
+		fold(acc, v, op)
 	}
 	return acc
 }
 
-// elemBytes models the wire size of a slice of T.
+// elemBytes is the size in memory of n elements of T.
 func elemBytes[T any](n int) int {
 	return int(reflect.TypeFor[T]().Size()) * n
 }

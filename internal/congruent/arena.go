@@ -33,7 +33,7 @@ func registerArenas[T any](arr *Array[T]) {
 	}
 	arr.arenaID = at.Reserve()
 	for p := range arr.frags {
-		a := arenaFor(arr.frags[p])
+		a := ArenaFor(arr.frags[p])
 		if a.PutLE == nil {
 			arr.localOnly = true
 		}
@@ -41,8 +41,11 @@ func registerArenas[T any](arr *Array[T]) {
 	}
 }
 
-// arenaFor builds the type-erased window closures over one fragment.
-func arenaFor[T any](frag []T) *x10rt.Arena {
+// ArenaFor builds the type-erased window closures over one fragment. It is
+// exported for layers that register their own windows (team collectives);
+// element types without a wire form get a window with a nil PutLE, which
+// only in-process transports can land into.
+func ArenaFor[T any](frag []T) *x10rt.Arena {
 	var z T
 	a := &x10rt.Arena{Elems: len(frag), ElemSize: int(sizeOf(z))}
 	a.PutLocal = func(off int, local any) { copy(frag[off:], local.([]T)) }

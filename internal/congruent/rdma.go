@@ -43,25 +43,12 @@ func AsyncCopyPut[T any](c *core.Ctx, src []T, dst *Array[T], p core.Place, dstO
 		panic(fmt.Sprintf("congruent: put [%d,%d) outside fragment of length %d",
 			dstOff, dstOff+len(src), dst.perLen))
 	}
-	var z T
-	bytes := int(sizeOf(z)) * len(src)
 	if dst.oneSided() {
-		op := &x10rt.OneSidedOp{
-			Kind:  x10rt.OneSidedPut,
-			Arena: dst.arenaID,
-			Off:   dstOff,
-			Elems: len(src),
-			Local: src,
-			Bytes: bytes,
-		}
-		if bs, ok := any(src).([]byte); ok {
-			op.Data = bs // byte fragments ride the writev scatter list as-is
-		} else {
-			op.Raw = func(b []byte) []byte { return appendWireLE(b, src) }
-		}
-		c.OneSidedSend(p, op)
+		c.OneSidedSend(p, PutOp(dst.arenaID, dstOff, src))
 		return
 	}
+	var z T
+	bytes := int(sizeOf(z)) * len(src)
 	// Copy-out at the source side: the in-process substrate must detach
 	// from the caller's buffer because, on this path, the caller may
 	// reuse it immediately.
@@ -71,6 +58,26 @@ func AsyncCopyPut[T any](c *core.Ctx, src []T, dst *Array[T], p core.Place, dstO
 	c.AtDirect(p, bytes, func(cc *core.Ctx) {
 		copy(frag[p][dstOff:], buf)
 	})
+}
+
+// PutOp builds the one-sided put of src into window arena at element
+// offset off. src is handed to the transport without a staging copy.
+func PutOp[T any](arena uint64, off int, src []T) *x10rt.OneSidedOp {
+	var z T
+	op := &x10rt.OneSidedOp{
+		Kind:  x10rt.OneSidedPut,
+		Arena: arena,
+		Off:   off,
+		Elems: len(src),
+		Local: src,
+		Bytes: int(sizeOf(z)) * len(src),
+	}
+	if bs, ok := any(src).([]byte); ok {
+		op.Data = bs // byte fragments ride the writev scatter list as-is
+	} else {
+		op.Raw = func(b []byte) []byte { return appendWireLE(b, src) }
+	}
+	return op
 }
 
 // AsyncCopyGet copies [srcOff, srcOff+len(dstBuf)) of src's fragment at
@@ -95,7 +102,7 @@ func AsyncCopyGet[T any](c *core.Ctx, src *Array[T], p core.Place, srcOff int, d
 		// The reply window is named in the request (ReplyArena), so its
 		// id only needs uniqueness, not symmetry; Transient unregisters
 		// it when the response put lands.
-		rep := arenaFor(dstBuf)
+		rep := ArenaFor(dstBuf)
 		rep.Transient = true
 		replyID := at.Reserve()
 		at.Register(home, replyID, rep)

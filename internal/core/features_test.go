@@ -122,6 +122,32 @@ func TestPlaceLocal(t *testing.T) {
 			t.Errorf("At(%d) = %v", p, v)
 		}
 	}
+	// Free drops the registry entry: the values are unreachable through
+	// the runtime and the handle no longer resolves.
+	h.Free()
+	if n := len(rt.locals.entries); n != 0 {
+		t.Errorf("%d place-local entries registered after Free, want 0", n)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("resolving a freed PlaceLocal did not panic")
+		}
+	}()
+	h.At(0)
+}
+
+func TestOnCloseRunsOnce(t *testing.T) {
+	rt, err := NewRuntime(Config{Places: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ran atomic.Int64
+	rt.OnClose(func() { ran.Add(1) })
+	rt.Close()
+	rt.Close()
+	if ran.Load() != 1 {
+		t.Errorf("OnClose hook ran %d times over two Closes, want 1", ran.Load())
+	}
 }
 
 func TestPlaceGroupBroadcast(t *testing.T) {

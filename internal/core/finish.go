@@ -280,6 +280,14 @@ func (rt *Runtime) finEvent(fin finRef, pl *place, kind finEventKind, other Plac
 	if !fin.valid() {
 		panic("core: activity has no governing finish")
 	}
+	// A termination is counted before it is dispatched: the dispatch may be
+	// what lets the governing Run return, and a caller comparing the
+	// counters right after Run must not see this completion missing.
+	counted := kind == evTerminate && !rt.PlaceDead(pl.id)
+	if counted {
+		rt.acts[fin.Pattern].completed.Add(1)
+		rt.placeActs[pl.id].completed.Add(1)
+	}
 	delivered := rt.dispatchFinEvent(fin, pl, kind, other, err, ctx)
 	// Conservation accounting: every governed activity is counted exactly
 	// once as spawned (at its spawn site) and once as completed (at its
@@ -295,7 +303,7 @@ func (rt *Runtime) finEvent(fin finRef, pl *place, kind finEventKind, other Plac
 			rt.acts[fin.Pattern].spawned.Add(1)
 		}
 	case evTerminate:
-		if delivered || !rt.PlaceDead(pl.id) {
+		if delivered && !counted {
 			rt.acts[fin.Pattern].completed.Add(1)
 			rt.placeActs[pl.id].completed.Add(1)
 		}

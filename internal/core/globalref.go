@@ -60,7 +60,7 @@ func (r GlobalRef[T]) Free(c *Ctx) {
 // localRegistry backs PlaceLocal handles: one lazily initialized value per
 // place per handle.
 type localRegistry struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	nextID  uint64
 	entries map[uint64]*localEntry
 	places  int
@@ -89,14 +89,20 @@ func (lr *localRegistry) register(init func(Place) any) uint64 {
 }
 
 func (lr *localRegistry) get(id uint64, p Place) any {
-	lr.mu.Lock()
+	lr.mu.RLock()
 	e, ok := lr.entries[id]
-	lr.mu.Unlock()
+	lr.mu.RUnlock()
 	if !ok {
 		panic(fmt.Sprintf("core: unknown PlaceLocal handle %d", id))
 	}
 	e.once[p].Do(func() { e.vals[p] = e.init(p) })
 	return e.vals[p]
+}
+
+func (lr *localRegistry) free(id uint64) {
+	lr.mu.Lock()
+	delete(lr.entries, id)
+	lr.mu.Unlock()
 }
 
 // PlaceLocal is a handle to per-place storage: the same handle resolves to
@@ -128,3 +134,9 @@ func (h PlaceLocal[T]) Get(c *Ctx) T {
 func (h PlaceLocal[T]) At(p Place) T {
 	return h.rt.locals.get(h.id, p).(T)
 }
+
+// Free releases the handle's per-place values; the handle must not be
+// resolved afterwards. Code that registers a place-local per call (the
+// kernels' Run functions) frees it on return, or the runtime keeps every
+// call's data alive until it closes.
+func (h PlaceLocal[T]) Free() { h.rt.locals.free(h.id) }

@@ -162,6 +162,11 @@ type Runtime struct {
 	// deaths is the resilience bookkeeping: which places died, and who
 	// wants to hear about it (see resilient.go).
 	deaths deathRegistry
+
+	// onClose holds the OnClose hooks. Cold, and last so that the hot
+	// fields above keep their cache lines.
+	closeMu sync.Mutex
+	onClose []func()
 }
 
 // activityCounter is one pattern's spawned/completed pair.
@@ -360,7 +365,23 @@ func (rt *Runtime) Close() {
 		if rt.ownsTr {
 			rt.tr.Close()
 		}
+		rt.closeMu.Lock()
+		fns := rt.onClose
+		rt.onClose = nil
+		rt.closeMu.Unlock()
+		for _, fn := range fns {
+			fn()
+		}
 	})
+}
+
+// OnClose registers fn to run once when the runtime closes. Extension
+// layers that keep per-runtime state outside the runtime (the collectives
+// manager) release it here.
+func (rt *Runtime) OnClose(fn func()) {
+	rt.closeMu.Lock()
+	rt.onClose = append(rt.onClose, fn)
+	rt.closeMu.Unlock()
 }
 
 // Run executes main as the program's root activity at place 0 under an

@@ -140,3 +140,39 @@ func Convolve(a, b []complex128) ([]complex128, error) {
 	p.Inverse(fa)
 	return fa, nil
 }
+
+// TwiddleTable serves Twiddle(n, k) for a power-of-two n from two tables
+// of about sqrt(n) entries each: with k mod n = a·2^h + b,
+// w^k = w^(a·2^h) · w^b. One complex multiplication replaces the
+// math.Sincos call per factor, at an error of one rounding.
+type TwiddleTable struct {
+	mask, shift int
+	hi, lo      []complex128
+}
+
+// NewTwiddleTable builds the table for length n (a power of two >= 1).
+func NewTwiddleTable(n int) (*TwiddleTable, error) {
+	if n < 1 || n&(n-1) != 0 {
+		return nil, fmt.Errorf("fft: length %d is not a power of two", n)
+	}
+	shift := (bits.TrailingZeros(uint(n)) + 1) / 2
+	t := &TwiddleTable{
+		mask:  n - 1,
+		shift: shift,
+		hi:    make([]complex128, n>>shift),
+		lo:    make([]complex128, 1<<shift),
+	}
+	for a := range t.hi {
+		t.hi[a] = Twiddle(n, a<<shift)
+	}
+	for b := range t.lo {
+		t.lo[b] = Twiddle(n, b)
+	}
+	return t, nil
+}
+
+// At returns exp(-2*pi*i*k/n) for any k >= 0.
+func (t *TwiddleTable) At(k int) complex128 {
+	k &= t.mask
+	return t.hi[k>>t.shift] * t.lo[k&(len(t.lo)-1)]
+}

@@ -176,3 +176,22 @@ func TestConvolveMatchesDirect(t *testing.T) {
 		t.Error("non-power-of-two accepted")
 	}
 }
+
+func TestTwiddleTableMatchesTwiddle(t *testing.T) {
+	for _, logN := range []int{0, 1, 2, 5, 10, 19, 20} {
+		n := 1 << logN
+		tab, err := NewTwiddleTable(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Exponents as the six-step twiddle step forms them: products j*p.
+		for _, k := range []int{0, 1, n / 2, n - 1, n, 3*n + 7, 12345 * 6789, (n - 1) * (n - 1)} {
+			if d := cmplx.Abs(tab.At(k) - Twiddle(n, k)); d > 1e-15 {
+				t.Errorf("n=2^%d k=%d: table %v, Twiddle %v (diff %g)", logN, k, tab.At(k), Twiddle(n, k), d)
+			}
+		}
+	}
+	if _, err := NewTwiddleTable(12); err == nil {
+		t.Error("non-power-of-two length accepted")
+	}
+}

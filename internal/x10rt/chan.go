@@ -296,9 +296,11 @@ func (t *ChanTransport) dispatch(place int, ep *chanEndpoint) {
 				if lg := t.lg.Load(); lg != nil {
 					lg.RecordRecv(place, HandlerOneSided, 0)
 				}
-				err := at.Land(m.src, place, m.os, func(rep *OneSidedOp) error {
-					return t.SendOneSided(place, m.src, rep)
-				})
+				var reply func(*OneSidedOp) error
+				if m.os.Kind == OneSidedGet { // only a get answers
+					reply = func(rep *OneSidedOp) error { return t.SendOneSided(place, m.src, rep) }
+				}
+				err := at.Land(m.src, place, m.os, reply)
 				var pde *PlaceDeadError
 				if err != nil && !errors.As(err, &pde) {
 					// In-process one-sided ops come from this process's

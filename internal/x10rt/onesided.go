@@ -163,6 +163,11 @@ type Arena struct {
 	// Transient arenas unregister after the first Put lands: Get-reply
 	// windows live for exactly one response.
 	Transient bool
+	// Landed, when non-nil, runs on the landing goroutine after each Put
+	// into the window is complete: the arrival notification a receiver
+	// that is not told through a finish (team collectives) waits on. It
+	// must be short and must not block.
+	Landed func(src, off, elems int)
 }
 
 type arenaKey struct {
@@ -270,6 +275,9 @@ func (at *ArenaTable) Apply(src, dst int, op *OneSidedOp, reply func(*OneSidedOp
 		}
 		if a.Transient {
 			at.Remove(dst, op.Arena)
+		}
+		if a.Landed != nil {
+			a.Landed(src, op.Off, op.Elems)
 		}
 		return nil
 	case OneSidedGet:
@@ -406,7 +414,8 @@ func appendOneSidedHeader(dst []byte, src int, op *OneSidedOp, dataLen int) ([]b
 // transports use it as the modeled wire cost so ledger one-sided rows
 // stay sum-equal with x10rt.bytes.wire.
 func OneSidedWireBytes(src int, op *OneSidedOp) int {
-	head, err := appendOneSidedHeader(nil, src, op, oneSidedDataLen(op))
+	var buf [96]byte // longer than any head: the count costs no allocation
+	head, err := appendOneSidedHeader(buf[:0], src, op, oneSidedDataLen(op))
 	if err != nil {
 		return 0
 	}

@@ -107,7 +107,9 @@ const (
 	HandlerFinishCtl
 	// HandlerClockCtl carries clock (dynamic barrier) control traffic.
 	HandlerClockCtl
-	// HandlerTeamCtl carries emulated collective traffic.
+	// HandlerTeamCtl is retired: it carried the mailbox emulation of team
+	// collectives, which now travel on the one-sided lane. The identifier
+	// stays reserved so the ones after it keep their values.
 	HandlerTeamCtl
 	// HandlerCopy carries RDMA put/get emulation traffic.
 	HandlerCopy

@@ -583,6 +583,7 @@ func TestTransportOneSided(t *testing.T, factory Factory) {
 	t.Run("GetRoundTrip", func(t *testing.T) { testOneSidedGet(t, factory) })
 	t.Run("RemoteAtomics", func(t *testing.T) { testOneSidedAtomics(t, factory) })
 	t.Run("DeathFailFast", func(t *testing.T) { testOneSidedDeath(t, factory) })
+	t.Run("LandedNotification", func(t *testing.T) { testOneSidedLanded(t, factory) })
 }
 
 // oneSidedMesh builds the mesh, requires the lane on every endpoint, and
@@ -623,7 +624,11 @@ func byteArena(at *x10rt.ArenaTable, p int, id uint64, win []byte) {
 
 // u64Arena registers a []uint64 window with atomic xor/add for place p.
 func u64Arena(at *x10rt.ArenaTable, p int, id uint64, win []uint64) {
-	at.Register(p, id, &x10rt.Arena{
+	at.Register(p, id, newU64Arena(win))
+}
+
+func newU64Arena(win []uint64) *x10rt.Arena {
+	return &x10rt.Arena{
 		Elems:    len(win),
 		ElemSize: 8,
 		PutLocal: func(off int, local any) { copy(win[off:], local.([]uint64)) },
@@ -653,7 +658,7 @@ func u64Arena(at *x10rt.ArenaTable, p int, id uint64, win []uint64) {
 			}
 		},
 		Add: func(idx int, val uint64) { atomic.AddUint64(&win[idx], val) },
-	})
+	}
 }
 
 func leU64(b []byte) uint64 {
@@ -711,6 +716,71 @@ func testOneSidedPutOrdering(t *testing.T, factory Factory) {
 	await(t, "all flags", func() bool { flushAll(m); return got.Load() == rounds })
 	if n := stale.Load(); n != 0 {
 		t.Errorf("%d flags observed data older than their round (one-sided put overtaken by AM)", n)
+	}
+}
+
+// testOneSidedLanded: a window's Landed hook runs exactly once per put,
+// after the data is in place, with the sender and the range — the arrival
+// notification receivers outside any finish (team collectives) wait on.
+// Zero-length puts notify too.
+func testOneSidedLanded(t *testing.T, factory Factory) {
+	const places, puts = 3, 50
+	m, at := oneSidedMesh(t, factory, places)
+	win := make([]uint64, 2*puts)
+	type landing struct{ src, off, elems int }
+	var mu sync.Mutex
+	var seen []landing
+	var early atomic.Int64
+	arena := newU64Arena(win)
+	arena.Landed = func(src, off, elems int) {
+		for i := 0; i < elems; i++ {
+			if atomic.LoadUint64(&win[off+i]) != uint64(src*1000+off+i) {
+				early.Add(1)
+			}
+		}
+		mu.Lock()
+		seen = append(seen, landing{src, off, elems})
+		mu.Unlock()
+	}
+	at.Register(2, 1, arena)
+	for src := 0; src < 2; src++ {
+		snd := m.Endpoint(src).(x10rt.OneSidedSender)
+		for i := 0; i < puts; i++ {
+			off, elems := src*puts+i, i%2 // every other put is empty
+			vals := []uint64{uint64(src*1000 + off)}[:elems]
+			var data []byte
+			for _, v := range vals {
+				data = appendU64(data, v)
+			}
+			op := &x10rt.OneSidedOp{
+				Kind: x10rt.OneSidedPut, Arena: 1, Off: off, Elems: elems,
+				Data: data, Local: vals, Bytes: len(data),
+			}
+			if err := snd.SendOneSided(src, 2, op); err != nil {
+				t.Fatalf("SendOneSided: %v", err)
+			}
+		}
+	}
+	await(t, "all landings", func() bool {
+		flushAll(m)
+		mu.Lock()
+		defer mu.Unlock()
+		return len(seen) == 2*puts
+	})
+	if n := early.Load(); n != 0 {
+		t.Errorf("%d notifications ran before their data was in the window", n)
+	}
+	want := map[landing]bool{}
+	for src := 0; src < 2; src++ {
+		for i := 0; i < puts; i++ {
+			want[landing{src, src*puts + i, i % 2}] = true
+		}
+	}
+	for _, l := range seen {
+		if !want[l] {
+			t.Errorf("unexpected or repeated notification %+v", l)
+		}
+		delete(want, l)
 	}
 }
 
