@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke profile-smoke trace dtrace telemetry wire chaos chaos-kill litmus collectives fuzz-short experiments examples clean
+.PHONY: all build test race bench bench-smoke bench-module profile-smoke trace dtrace telemetry wire chaos chaos-kill litmus collectives fuzz-short experiments examples clean
 
-all: build test race telemetry wire chaos chaos-kill litmus collectives dtrace bench-smoke profile-smoke fuzz-short
+all: build test race telemetry wire chaos chaos-kill litmus collectives dtrace bench-smoke bench-module profile-smoke fuzz-short
 
 build:
 	$(GO) build ./...
@@ -19,22 +19,21 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Performance observatory smoke: emit a tiny single-rep artifact (UTS
-# exercises the steal/lifeline critical-path buckets), validate it
-# against the BENCH schema, then self-compare — benchdiff must report
-# zero regressions by construction, so any failure is a pipeline bug.
-# The transport gate then asserts the wire-path overhaul's acceptance
-# target: ≥3x msgs/s from batching on the small-control-frame
-# microbenchmark, and the tracing gate asserts the distributed-tracing
-# acceptance target: disabled span-propagation hooks cost <2% of a
-# finish message and allocate nothing. The collectives pins assert that a
-# steady-state all-to-all and all-reduce allocate nothing payload-sized.
+# Performance gates as go test assertions: ≥3x msgs/s from batching and
+# ≥3x from the codec on the small-control-frame microbenchmark, one-sided
+# puts at ≥50% of memcpy bandwidth, and the disabled tracing, profiling
+# and wire-ledger hooks at <2% of a finish message with no allocation.
+# The collectives pins assert that a steady-state all-to-all and
+# all-reduce allocate nothing payload-sized. End-to-end numbers come
+# from the benchmark in bench/ (bench/README.md).
 bench-smoke:
-	$(GO) run ./cmd/apgas-bench -exp uts -scale tiny -bench-json /tmp/apgas-bench-smoke.json -bench-reps 1
-	$(GO) run ./cmd/tracecheck -bench /tmp/apgas-bench-smoke.json
-	$(GO) run ./cmd/benchdiff /tmp/apgas-bench-smoke.json /tmp/apgas-bench-smoke.json
 	$(GO) test -run 'TestTransportBatchSpeedup|TestCodecSpeedup|TestOneSidedBandwidth|TestTracingDisabledOverhead|TestProfilingDisabledOverhead|TestWireLedgerDisabledOverhead' -count=1 -v ./internal/harness
 	$(GO) test -run 'TestSteadyStateAllocations' -count=1 -v ./internal/collectives
+
+# The benchmark's own tests. bench/ is a nested module, so the root's
+# go test ./... never builds it.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Continuous-profiling smoke: run the dense workload with pprof labels
 # and enough spin per phase to land real CPU samples, capture a profile,
@@ -124,8 +123,9 @@ collectives:
 	$(GO) test -run 'TestSteadyStateAllocations' -count=1 -v ./internal/collectives
 
 # 30 seconds of coverage-guided fuzzing per target: the x10rt TCP frame
-# and batch-frame codecs and the tracecheck flight-dump and
-# bench-artifact validators. -fuzzminimizetime is
+# and batch-frame codecs, the binary wire codec and its type-table
+# handshake, and the tracecheck flight-dump, merged-trace, kill-record
+# and wire-dump validators. -fuzzminimizetime is
 # bounded because the default 60s-per-input minimization budget would
 # otherwise consume the entire run.
 fuzz-short:
@@ -136,7 +136,6 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 30s -fuzzminimizetime=10x ./internal/x10rt
 	$(GO) test -run '^$$' -fuzz FuzzTypeTableHandshake -fuzztime 30s -fuzzminimizetime=10x ./internal/x10rt
 	$(GO) test -run '^$$' -fuzz FuzzCheckFlightDump -fuzztime 30s -fuzzminimizetime=10x ./cmd/tracecheck
-	$(GO) test -run '^$$' -fuzz FuzzCheckBench -fuzztime 30s -fuzzminimizetime=10x ./cmd/tracecheck
 	$(GO) test -run '^$$' -fuzz FuzzCheckMergedTrace -fuzztime 30s -fuzzminimizetime=10x ./cmd/tracecheck
 	$(GO) test -run '^$$' -fuzz FuzzCheckKillDump -fuzztime 30s -fuzzminimizetime=10x ./cmd/tracecheck
 	$(GO) test -run '^$$' -fuzz FuzzCheckWireDump -fuzztime 30s -fuzzminimizetime=10x ./cmd/tracecheck

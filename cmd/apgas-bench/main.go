@@ -16,16 +16,10 @@
 //	apgas-bench -exp all -debug-addr :6060       # pprof + expvar + /telemetry while running
 //	apgas-bench -places 4 -metrics-all           # cross-place merged metrics table
 //	apgas-bench -exp telemetry -netsim           # telemetry smoke under the 775 model
-//	apgas-bench -exp all -scale tiny -bench-json BENCH_tiny.json   # performance artifact
-//	apgas-bench -exp uts -bench-json uts.json -bench-reps 5        # min-of-5 UTS artifact
 //
-// -bench-json emits the performance observatory's machine-readable
-// artifact (validated by tracecheck -bench, gated by benchdiff): each
-// experiment's best-of-reps series, curated metric deltas, and the
-// critical-path attribution of finish/steal/collective time. It
-// composes with -metrics (echoes each experiment's deltas to stderr)
-// but not with -trace, -netsim, or the telemetry/chaos workloads, which
-// manage their own observability.
+// Its tables are single runs for reading the paper's shapes. The repo's
+// measured numbers — medians, spread, the Class-1 ratio — come from the
+// benchmark in bench/ (see bench/README.md).
 package main
 
 import (
@@ -75,10 +69,6 @@ func main() {
 		"telemetry run: enable the finish stall watchdog with this window (0 = off)")
 	flightDump := flag.String("flight-dump", "",
 		"telemetry run: write the flight recorder (JSON Lines) to this file at exit")
-	benchJSON := flag.String("bench-json", "",
-		"write the performance artifact (BENCH JSON) to this file: best-of-reps series, "+
-			"metric deltas, critical-path buckets; validate with tracecheck -bench, gate with benchdiff")
-	benchReps := flag.Int("bench-reps", 3, "repetitions per experiment for -bench-json (best kept)")
 	wireLedger := flag.Bool("wire", false,
 		"telemetry/dense runs: attach the wire ledger (per-handler/per-link message cost attribution) "+
 			"and assert its sum-equality against the transport counters at exit")
@@ -122,28 +112,6 @@ func main() {
 	// selects the telemetry workload regardless of -exp.
 	if *metricsAll && *exp == "all" {
 		*exp = "telemetry"
-	}
-
-	// -bench-json swaps the process-global observability per repetition,
-	// so it cannot coexist with modes that install or depend on their own.
-	if *benchJSON != "" {
-		reason := ""
-		switch {
-		case *traceFile != "":
-			reason = "-trace (the artifact collector installs a fresh tracer per repetition)"
-		case *traceDist != "":
-			reason = "-trace-dist (the artifact collector installs a fresh tracer per repetition)"
-		case *useNetsim:
-			reason = "-netsim (artifacts fingerprint the real machine, not a modelled one)"
-		case *metricsAll:
-			reason = "-metrics-all (a telemetry-workload view)"
-		case *exp == "telemetry" || *exp == "chaos" || *exp == "dense" || *exp == "list":
-			reason = fmt.Sprintf("-exp %s (not a measured series)", *exp)
-		}
-		if reason != "" {
-			fmt.Fprintf(os.Stderr, "apgas-bench: -bench-json cannot be combined with %s\n", reason)
-			os.Exit(2)
-		}
 	}
 
 	var scale harness.Scale
@@ -253,14 +221,6 @@ func main() {
 		return
 	}
 
-	if *benchJSON != "" {
-		if err := runBenchJSON(*exp, scale, *benchJSON, *benchReps, *metrics); err != nil {
-			fmt.Fprintf(os.Stderr, "apgas-bench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if err := run(*exp, scale); err != nil {
 		fmt.Fprintf(os.Stderr, "apgas-bench: %v\n", err)
 		os.Exit(1)
@@ -310,7 +270,7 @@ var experiments = map[string]string{
 	"onesided":        "one-sided microbenchmark: 1 MiB AsyncCopyPut bandwidth through the v5 frame lane (≥50%-of-memcpy gate)",
 }
 
-// panelOrder is the series execution order for -exp all and -bench-json.
+// panelOrder is the series execution order for -exp all.
 var panelOrder = []string{
 	"hpl", "fft", "ra", "stream", "uts", "kmeans", "sw", "bc", "spmd-bcast",
 	"transport", "transport-batch", "transport-codec", "transport-large", "wire", "onesided",

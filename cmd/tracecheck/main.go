@@ -6,27 +6,24 @@
 //   - flight recorder dumps (JSON Lines headed by
 //     {"type":"apgas-flight",...}), written by -flight-dump, the stall
 //     watchdog, and failed runs;
-//   - with -bench, performance-observatory artifacts (BENCH_*.json)
-//     written by apgas-bench -bench-json, checked against the schema:
-//     version, environment fingerprint, strictly increasing place
-//     counts, non-negative metrics, sane critical-path buckets;
 //   - with -wire, wire observatory dumps ({"type":"apgas-wire",...})
 //     written by apgas-bench -wire-dump or fetched from the /wire debug
 //     endpoint, checked for row ordering, compression sanity, and the
-//     sum-equality between the ledger and the transport counters.
+//     sum-equality between the ledger and the transport counters;
+//   - with -profile, pprof profiles, summarized by the runtime's
+//     activity labels and checked against sample and label thresholds.
 //
-// Trace vs flight dump is auto-detected; bench artifacts are selected
-// explicitly with -bench. Errors name the offending location (line for
-// JSONL, JSON path for artifacts) and the reason; the exit code is
-// nonzero. It backs the `make trace`, `make telemetry`, and
-// `make bench-smoke` sanity targets.
+// Trace vs flight dump is auto-detected. Errors name the offending
+// location (line for JSONL, event index for traces) and the reason; the
+// exit code is nonzero. It backs the `make trace`, `make telemetry`,
+// `make dtrace`, `make wire`, and `make profile-smoke` targets.
 //
 // Usage:
 //
 //	tracecheck /tmp/apgas-uts-trace.json
 //	tracecheck /tmp/apgas-flight.jsonl
-//	tracecheck -bench BENCH_tiny.json
 //	tracecheck -wire /tmp/apgas-wire.json
+//	tracecheck -profile /tmp/apgas-profile.pb.gz
 package main
 
 import (
@@ -40,8 +37,6 @@ import (
 )
 
 func main() {
-	benchMode := flag.Bool("bench", false,
-		"validate an apgas-bench performance artifact (BENCH_*.json) instead of a trace")
 	wireMode := flag.Bool("wire", false,
 		"validate a wire observatory dump (apgas-bench -wire-dump or the /wire endpoint)")
 	profileMode := flag.Bool("profile", false,
@@ -57,7 +52,7 @@ func main() {
 		"with -profile: key=N, fail unless label key has at least N distinct values (repeatable)")
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-bench | -wire | -profile] <trace.json | flight.jsonl | BENCH_*.json | wire.json | profile.pb.gz>")
+		fmt.Fprintln(os.Stderr, "usage: tracecheck [-wire | -profile] <trace.json | flight.jsonl | wire.json | profile.pb.gz>")
 		os.Exit(2)
 	}
 	path := flag.Arg(0)
@@ -66,8 +61,6 @@ func main() {
 		err     error
 	)
 	switch {
-	case *benchMode:
-		summary, err = checkBenchFile(path)
 	case *wireMode:
 		summary, err = checkWireFile(path)
 	case *profileMode:

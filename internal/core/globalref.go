@@ -105,6 +105,14 @@ func (lr *localRegistry) free(id uint64) {
 	lr.mu.Unlock()
 }
 
+// NumPlaceLocals returns how many PlaceLocal handles are registered and
+// not yet freed.
+func (rt *Runtime) NumPlaceLocals() int {
+	rt.locals.mu.RLock()
+	defer rt.locals.mu.RUnlock()
+	return len(rt.locals.entries)
+}
+
 // PlaceLocal is a handle to per-place storage: the same handle resolves to
 // an independent value at every place, created on first access by the init
 // function. It is the idiom X10 programs use (via PlaceLocalHandle) to

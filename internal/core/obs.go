@@ -44,16 +44,19 @@ type runtimeMetrics struct {
 	oneSided    *obs.Counter                // core.onesided
 	uncounted   *obs.Counter                // core.async.uncounted
 	ctlRecv     *obs.Counter                // finish.ctl.recv
+	// sends dropped because Runtime.Close had closed the transport
+	sendsAfterClose *obs.Counter // core.sends_after_close
 }
 
 func newRuntimeMetrics(r *obs.Registry) *runtimeMetrics {
 	m := &runtimeMetrics{
-		asyncLocal:  r.Counter("core.async.local"),
-		asyncRemote: r.Counter("core.async.remote"),
-		atDirect:    r.Counter("core.at.direct"),
-		oneSided:    r.Counter("core.onesided"),
-		uncounted:   r.Counter("core.async.uncounted"),
-		ctlRecv:     r.Counter("finish.ctl.recv"),
+		asyncLocal:      r.Counter("core.async.local"),
+		asyncRemote:     r.Counter("core.async.remote"),
+		atDirect:        r.Counter("core.at.direct"),
+		oneSided:        r.Counter("core.onesided"),
+		uncounted:       r.Counter("core.async.uncounted"),
+		ctlRecv:         r.Counter("finish.ctl.recv"),
+		sendsAfterClose: r.Counter("core.sends_after_close"),
 	}
 	for p := Pattern(0); p < numPatterns; p++ {
 		key := p.metricKey()

@@ -302,10 +302,14 @@ func (rt *Runtime) spawnFailed(fin finRef, pl *place, dst Place, err error, coun
 }
 
 // trySend is the send funnel for messages that need compensation on
-// failure (activity spawns): a dead-place failure is returned, anything
-// else still panics as a transport bug.
+// failure (activity spawns): a dead-place failure is returned, a send
+// after Close is dropped like send's, anything else still panics as a
+// transport bug.
 func (rt *Runtime) trySend(src, dst Place, id x10rt.HandlerID, payload any, bytes int, class x10rt.Class) error {
 	err := rt.tr.Send(int(src), int(dst), id, payload, bytes, class)
+	if err != nil && rt.droppedAfterClose(err) {
+		return nil
+	}
 	if err != nil && !errors.Is(err, x10rt.ErrPlaceDead) {
 		panicSendFailure(src, dst, err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"apgas/internal/obs"
 	"apgas/internal/x10rt"
 )
 
@@ -52,6 +53,61 @@ func runWithTimeout(t *testing.T, rt *Runtime, main func(*Ctx)) error {
 	case <-time.After(30 * time.Second):
 		t.Fatal("Run did not quiesce after place death (finish wedged)")
 		return nil
+	}
+}
+
+// holdFirstCtl holds the first finish-control message sent by place
+// from until release is closed, then hands it to the wrapped transport.
+type holdFirstCtl struct {
+	x10rt.Transport
+	from    int
+	holding atomic.Bool
+	held    chan struct{}
+	release chan struct{}
+}
+
+func (h *holdFirstCtl) Send(src, dst int, id x10rt.HandlerID, payload any, bytes int, class x10rt.Class) error {
+	if id == x10rt.HandlerFinishCtl && src == h.from && h.holding.CompareAndSwap(false, true) {
+		close(h.held)
+		<-h.release
+	}
+	return h.Transport.Send(src, dst, id, payload, bytes, class)
+}
+
+// TestSendAfterCloseIsCountedDrop: a FINISH_DEFAULT proxy's quiescence
+// snapshot is held in the transport while the death of an uninvolved
+// place makes adoption re-send it, so Run returns and the runtime closes
+// with the first copy still on its way — the straggler of a kill run.
+// When it is released its send finds the transport closed: a drop,
+// counted in core.sends_after_close, not a panic.
+func TestSendAfterCloseIsCountedDrop(t *testing.T) {
+	inner, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := &holdFirstCtl{Transport: inner, from: 1, held: make(chan struct{}), release: make(chan struct{})}
+	o := obs.New()
+	rt, err := NewRuntime(Config{Places: 3, Transport: tr, OwnTransport: true, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		<-tr.held
+		rt.PlaceDeath(2)
+	}()
+	if err := runWithTimeout(t, rt, func(ctx *Ctx) {
+		ctx.AtAsync(1, func(*Ctx) {})
+	}); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	rt.Close()
+	close(tr.release)
+	deadline := time.Now().Add(10 * time.Second)
+	for o.Metrics.Snapshot().Counter("core.sends_after_close") != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("the held snapshot's send after Close was not counted as a drop")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -452,14 +452,30 @@ func (rt *Runtime) now() int64 {
 // death already accounts for: control credits and snapshots addressed to
 // a dead root are moot (the root force-fired), and everything a dead
 // place would have sent is forgiven by the adoption protocol. Dead-place
-// failures are therefore dropped silently; any other failure is still a
-// transport bug and panics. Spawn paths, whose loss must be compensated,
-// use trySend (resilient.go) instead.
+// failures are therefore dropped silently, and so are sends after Close
+// (see droppedAfterClose); any other failure is still a transport bug
+// and panics. Spawn paths, whose loss must be compensated, use trySend
+// (resilient.go) instead.
 func (rt *Runtime) send(src, dst Place, id x10rt.HandlerID, payload any, bytes int, class x10rt.Class) {
 	if err := rt.tr.Send(int(src), int(dst), id, payload, bytes, class); err != nil &&
-		!errors.Is(err, x10rt.ErrPlaceDead) {
+		!errors.Is(err, x10rt.ErrPlaceDead) && !rt.droppedAfterClose(err) {
 		panicSendFailure(src, dst, err)
 	}
+}
+
+// droppedAfterClose reports whether err is a send finding the transport
+// closed after Close, and counts such a drop in core.sends_after_close.
+// The sender is an activity that outlived its run — a straggler of a
+// finish that a place death released early — and nobody is left to
+// receive what it sends.
+func (rt *Runtime) droppedAfterClose(err error) bool {
+	if !rt.closed.Load() || !errors.Is(err, x10rt.ErrClosed) {
+		return false
+	}
+	if m := rt.m; m != nil {
+		m.sendsAfterClose.Inc()
+	}
+	return true
 }
 
 // flushTransport pushes any batched frames queued at place p out to

@@ -335,8 +335,8 @@ func TeamModeSeries(s Scale, mode collectives.Mode) (Series, error) {
 // FINISH_SPMD scopes, empty bodies) over the place sweep, timing a batch
 // of broadcasts per point. The workload is nearly pure finish control —
 // spawning-tree fan-out plus SPMD termination detection — which is what
-// the performance observatory's critical-path profiler uses to pin a
-// nonzero finish-control bucket.
+// the critical-path profiler's test (perfobs) uses to pin a nonzero
+// finish-control bucket.
 func SPMDBroadcastSeries(s Scale) (Series, error) {
 	reps := map[Scale]int{Tiny: 30, Small: 60, Medium: 100}[s]
 	out := Series{Name: "SPMD Broadcast", AggregateUnit: "bcast/s", PerUnitUnit: "us/bcast"}

@@ -103,8 +103,8 @@ func memcpyBandwidth(reps int) float64 {
 // place counts: 1 MiB AsyncCopyPut frames landing directly in the
 // target fragment through the v5 lane, MB/s aggregate and per
 // destination place. The note carries the machine's memcpy ceiling so
-// the committed artifact shows how close the lane runs to memory
-// bandwidth (TestOneSidedBandwidth gates the 2-place point at ≥50%).
+// the table shows how close the lane runs to memory bandwidth
+// (TestOneSidedBandwidth gates the 2-place point at ≥50%).
 func OneSidedSeries(s Scale) (Series, error) {
 	reps := map[Scale]int{Tiny: 4, Small: 8, Medium: 12}[s]
 	memcpy := memcpyBandwidth(3) / (1 << 20)

@@ -122,7 +122,7 @@ func transportMesh(places int, batch, codec bool, compressMin int) ([]x10rt.Tran
 // runTransportMesh drives one mesh: every place sends perPlace messages
 // of msgBytes each (round-robin over the other places), and the run is
 // timed from first send to last delivery. Endpoint 0's metrics attach
-// to the process-global registry so -bench-json artifacts carry the
+// to the process-global registry so a -metrics run reports the
 // x10rt.batch.* counters and histograms of a representative endpoint.
 // lg, when non-nil, is attached to every endpoint so the run's traffic
 // is cost-attributed (the wire observatory series).
@@ -258,9 +258,8 @@ func TransportSmallSeries(s Scale) (Series, error) {
 
 // TransportSmallBatchSeries is the same microbenchmark through the
 // batching wire path: per-link coalescing into shared-stream batch
-// frames. The committed BENCH artifacts must show it ≥3x the unbatched
-// series (see TestTransportBatchSpeedup, asserted by `make
-// bench-smoke`).
+// frames. It must run ≥3x the unbatched series (TestTransportBatchSpeedup,
+// asserted by `make bench-smoke`).
 func TransportSmallBatchSeries(s Scale) (Series, error) {
 	return transportSmallSeries("Transport small frames (batched)", true, CodecWire)(s)
 }
@@ -268,8 +267,8 @@ func TransportSmallBatchSeries(s Scale) (Series, error) {
 // TransportCodecSeries is the batched microbenchmark over codec
 // framing: v4 frames whose payloads travel as raw little-endian bytes
 // after the per-connection type-table handshake, no gob on the hot
-// path. The committed BENCH artifacts must show it ≥3x the gob batched
-// series (see TestCodecSpeedup, asserted by `make bench-smoke`).
+// path. It must run ≥3x the gob batched series (TestCodecSpeedup,
+// asserted by `make bench-smoke`).
 func TransportCodecSeries(s Scale) (Series, error) {
 	return transportSmallSeries("Transport small frames (codec)", true, true)(s)
 }
@@ -278,8 +277,8 @@ func TransportCodecSeries(s Scale) (Series, error) {
 // frames through the batched TCP wire with a WireLedger attached, so
 // every message's gob encode/decode cost is attributed. The aggregate
 // is encode ns per message and the per-unit column decode ns per
-// message — serialization cost, so lower is better (TimeBased), and
-// benchdiff flags a codec regression as such. The series also enforces
+// message — serialization cost, so lower is better (TimeBased), and a
+// rising value is a codec regression. The series also enforces
 // the ledger's sum-equality against the transport counters: a point
 // where the attributed bytes disagree with the wire fails the run.
 func WireSeries(s Scale) (Series, error) {

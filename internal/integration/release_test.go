@@ -1,7 +1,7 @@
 package integration
 
 import (
-	"runtime"
+	"reflect"
 	"testing"
 
 	"apgas/internal/apps/fftbench"
@@ -13,7 +13,9 @@ import (
 // TestRunsReleaseWhatTheyRegister: a kernel's Run builds a team and a
 // place-local per call; both must be gone when it returns, and the team's
 // windows must be taken over by the next Run's team. On one runtime the
-// live heap after the 30th run stays within 10% of the heap after the 5th.
+// registrations after the 30th run equal those after the 5th exactly: the
+// runtime's place-local handles and, per place, the one-sided windows in
+// its arena table.
 func TestRunsReleaseWhatTheyRegister(t *testing.T) {
 	kernels := map[string]func(*core.Runtime) error{
 		"kmeans": func(rt *core.Runtime) error {
@@ -35,21 +37,29 @@ func TestRunsReleaseWhatTheyRegister(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer rt.Close()
-			live := func() uint64 {
-				runtime.GC()
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				return ms.HeapAlloc
+			type registered struct {
+				locals int
+				arenas []int // per place
 			}
-			var at5 uint64
+			now := func() registered {
+				r := registered{locals: rt.NumPlaceLocals()}
+				for p := 0; p < rt.NumPlaces(); p++ {
+					r.arenas = append(r.arenas, rt.Arenas().Len(p))
+				}
+				return r
+			}
+			var at5 registered
 			for i := 1; i <= 30; i++ {
 				if err := run(rt); err != nil {
 					t.Fatal(err)
 				}
-				if h := live(); i == 5 {
-					at5 = h
-				} else if i == 30 && float64(h) > 1.1*float64(at5) {
-					t.Errorf("live heap %d B after run 30, %d B after run 5: more than 10%% growth", h, at5)
+				switch i {
+				case 5:
+					at5 = now()
+				case 30:
+					if got := now(); !reflect.DeepEqual(got, at5) {
+						t.Errorf("registered after run 30: %+v; after run 5: %+v", got, at5)
+					}
 				}
 			}
 		})

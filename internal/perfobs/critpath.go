@@ -1,3 +1,12 @@
+// Package perfobs attributes where a run's time went. CriticalPath walks
+// the longest dependency chain of a trace's dominant root finish and
+// splits its wall clock into runtime buckets (user compute, finish
+// control, steal round trips, lifeline waits, collective fan-in,
+// transport) — a software reproduction of the paper's Table 2 overhead
+// accounting, read by the bench/ module's per-layer metrics and by
+// apgas-bench -exp dense. ParseProfile and SummarizeProfile turn a pprof
+// profile into a cost table by the runtime's activity labels, for
+// tracecheck -profile and apgas-top.
 package perfobs
 
 import (

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"apgas/internal/harness"
 	"apgas/internal/obs"
 )
 
@@ -142,6 +143,35 @@ func TestCriticalPathNoRoot(t *testing.T) {
 	events := []obs.Event{mkSpan("async", 0, 1, 0, 0, 100)}
 	if rep := CriticalPath(events); rep != nil {
 		t.Fatalf("no finish root: %+v", rep)
+	}
+}
+
+// TestCriticalPathSPMDBroadcast walks the trace of a real run: the SPMD
+// broadcast sweep at tiny scale, whose bodies are empty, so its path is
+// rooted at a finish, made of finish control, and fully covered.
+func TestCriticalPathSPMDBroadcast(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real runtimes")
+	}
+	o := obs.NewTracing()
+	prev := obs.Global()
+	obs.SetGlobal(o) // the harness builds its runtimes over the global layer
+	defer obs.SetGlobal(prev)
+	if _, err := harness.SPMDBroadcastSeries(harness.Tiny); err != nil {
+		t.Fatal(err)
+	}
+	cp := CriticalPath(o.Trace.Events())
+	if cp == nil {
+		t.Fatal("no critical path")
+	}
+	if !strings.HasPrefix(cp.Root, "finish.") {
+		t.Errorf("root %q, want a finish span", cp.Root)
+	}
+	if cp.Buckets[BucketFinishControl] <= 0 {
+		t.Errorf("finish-control bucket = %d, want > 0 (%v)", cp.Buckets[BucketFinishControl], cp.Buckets)
+	}
+	if cp.Coverage < 0.9 {
+		t.Errorf("coverage = %v, want >= 0.9", cp.Coverage)
 	}
 }
 

@@ -1,5 +1,5 @@
-// profile.go is the label-aware side of the performance observatory: a
-// dependency-free reader for pprof protobuf profiles (the files Go's
+// This file is the label-aware side of the package: a dependency-free
+// reader for pprof protobuf profiles (the files Go's
 // runtime/pprof writes) and a summarizer that turns one into a
 // per-label cost table. The runtime stamps every activity with
 // (place, pattern, kind, app) pprof labels (see obs.Profiler); this
@@ -14,6 +14,7 @@
 // external dependencies. Fields it does not model (locations,
 // mappings, functions) are skipped structurally, so any valid pprof
 // file parses.
+
 package perfobs
 
 import (

@@ -212,6 +212,19 @@ func (at *ArenaTable) Remove(place int, id uint64) {
 	at.mu.Unlock()
 }
 
+// Len returns the number of windows registered at place.
+func (at *ArenaTable) Len(place int) int {
+	at.mu.RLock()
+	defer at.mu.RUnlock()
+	n := 0
+	for k := range at.arenas {
+		if k.place == place {
+			n++
+		}
+	}
+	return n
+}
+
 func (at *ArenaTable) lookup(place int, id uint64) (*Arena, error) {
 	at.mu.RLock()
 	a := at.arenas[arenaKey{place, id}]
