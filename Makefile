@@ -6,7 +6,10 @@ GO ?= go
 
 all: build test race telemetry wire chaos chaos-kill litmus collectives dtrace bench-smoke bench-module profile-smoke fuzz-short
 
+# Formatting is part of the build: any file gofmt would change fails it.
 build:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 	$(GO) build ./...
 	$(GO) vet ./...
 

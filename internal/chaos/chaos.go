@@ -28,7 +28,6 @@ package chaos
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -120,8 +119,8 @@ type Options struct {
 	SlowPlace   int
 	SlowLatency time.Duration
 
-	// Kill enables the place-death fault. Requires an inner transport
-	// implementing x10rt.PlaceKiller (the kill is a no-op otherwise).
+	// Kill enables the place-death fault: the plan's trigger message
+	// kills its victim on the inner transport.
 	Kill *KillPlan
 
 	// Hold enables schedule-permutation mode.
@@ -260,9 +259,6 @@ func (t *Transport) FaultLog() *Log { return &t.log }
 // FaultCounts returns decision counts per fault kind.
 func (t *Transport) FaultCounts() map[string]uint64 { return t.log.Counts() }
 
-// Inner returns the wrapped transport.
-func (t *Transport) Inner() x10rt.Transport { return t.inner }
-
 // NumPlaces implements x10rt.Transport.
 func (t *Transport) NumPlaces() int { return t.n }
 
@@ -272,62 +268,30 @@ func (t *Transport) Register(id x10rt.HandlerID, h x10rt.Handler) error {
 	return t.inner.Register(id, h)
 }
 
-// Stats implements x10rt.Transport (inner passthrough).
-func (t *Transport) Stats() x10rt.Stats { return t.inner.Stats() }
-
-// AttachMetrics implements x10rt.MetricSource when the inner transport
-// does; otherwise it is a no-op.
-func (t *Transport) AttachMetrics(r *obs.Registry) {
-	if ms, ok := t.inner.(x10rt.MetricSource); ok {
-		ms.AttachMetrics(r)
-	}
-}
-
-// PlaceStats implements x10rt.PlaceMetricSource when the inner
-// transport does; otherwise it reports zero.
-func (t *Transport) PlaceStats(p int) x10rt.Stats {
-	if ps, ok := t.inner.(x10rt.PlaceMetricSource); ok {
-		return ps.PlaceStats(p)
-	}
-	return x10rt.Stats{}
-}
-
-// AttachPlaceMetrics implements x10rt.PlaceMetricSource passthrough.
-func (t *Transport) AttachPlaceMetrics(p int, r *obs.Registry) {
-	if ps, ok := t.inner.(x10rt.PlaceMetricSource); ok {
-		ps.AttachPlaceMetrics(p, r)
-	}
-}
-
-// AttachWireLedger implements x10rt.LedgerSink passthrough: the ledger
+// The counters and every attachment are the inner transport's (these
+// methods implement x10rt.Transport by passthrough). The ledger thus
 // observes what the inner transport actually carries, so dropped or
 // held messages are (correctly) not attributed until forwarded, and
 // attribution never influences a fault decision — replays stay
 // byte-identical with the ledger attached.
-func (t *Transport) AttachWireLedger(lg *x10rt.WireLedger) {
-	if ls, ok := t.inner.(x10rt.LedgerSink); ok {
-		ls.AttachWireLedger(lg)
-	}
-}
 
-// SendOneSided implements x10rt.OneSidedSender passthrough. One-sided
+func (t *Transport) Stats() x10rt.Stats                        { return t.inner.Stats() }
+func (t *Transport) PlaceStats(p int) x10rt.Stats              { return t.inner.PlaceStats(p) }
+func (t *Transport) AttachMetrics(r *obs.Registry)             { t.inner.AttachMetrics(r) }
+func (t *Transport) AttachPlaceMetrics(p int, r *obs.Registry) { t.inner.AttachPlaceMetrics(p, r) }
+func (t *Transport) AttachTracer(tr *obs.Tracer)               { t.inner.AttachTracer(tr) }
+func (t *Transport) AttachWireLedger(lg *x10rt.WireLedger)     { t.inner.AttachWireLedger(lg) }
+func (t *Transport) AttachArenas(at *x10rt.ArenaTable)         { t.inner.AttachArenas(at) }
+func (t *Transport) NotifyDeath(fn func(dead, observer int))   { t.inner.NotifyDeath(fn) }
+func (t *Transport) PlaceDead(p int) bool                      { return t.inner.PlaceDead(p) }
+
+// SendOneSided implements x10rt.Transport (inner passthrough). One-sided
 // ops are never faulted and — critically for replay — never consume a
 // link fault-stream sequence number: a run with one-sided traffic added
 // keeps byte-identical fault decisions for its active messages, exactly
 // like attaching a ledger.
 func (t *Transport) SendOneSided(src, dst int, op *x10rt.OneSidedOp) error {
-	os, ok := t.inner.(x10rt.OneSidedSender)
-	if !ok {
-		return fmt.Errorf("chaos: inner transport has no one-sided lane")
-	}
-	return os.SendOneSided(src, dst, op)
-}
-
-// AttachArenas implements x10rt.OneSidedSink passthrough.
-func (t *Transport) AttachArenas(at *x10rt.ArenaTable) {
-	if s, ok := t.inner.(x10rt.OneSidedSink); ok {
-		s.AttachArenas(at)
-	}
+	return t.inner.SendOneSided(src, dst, op)
 }
 
 // eligible reports whether a message may be faulted at all.
@@ -372,9 +336,7 @@ func (t *Transport) Send(src, dst int, id x10rt.HandlerID, payload any, bytes in
 		t.log.add(faultRecord{src: src, dst: dst, linkSeq: k, kind: FaultKill, id: int(id), param: int64(kp.Victim)})
 		ls.mu.Unlock()
 		t.frozen.Store(true)
-		if pk, ok := t.inner.(x10rt.PlaceKiller); ok {
-			_ = pk.KillPlace(kp.Victim)
-		}
+		_ = t.inner.KillPlace(kp.Victim)
 		return nil
 	}
 
@@ -625,44 +587,18 @@ func (t *Transport) Drain() {
 // chaos-wrapped transport the same way.
 func (t *Transport) Quiesce() { t.Drain() }
 
-// Flush forwards to the inner transport when it buffers sends
-// (x10rt.Flusher), so the runtime's protocol flush points reach a
-// batching layer below the chaos wrapper. Chaos's own holdbacks are
-// deliberately NOT flushed here: a flush hint must not heal injected
-// faults.
-func (t *Transport) Flush(src int) error {
-	if f, ok := t.inner.(x10rt.Flusher); ok {
-		return f.Flush(src)
-	}
-	return nil
-}
+// Flush implements x10rt.Transport by forwarding to the inner
+// transport, so the runtime's protocol flush points reach a batching
+// layer below the chaos wrapper. Chaos's own holdbacks are deliberately
+// NOT flushed here: a flush hint must not heal injected faults.
+func (t *Transport) Flush(src int) error { return t.inner.Flush(src) }
 
-// KillPlace implements x10rt.PlaceKiller by delegating to the inner
+// KillPlace implements x10rt.Transport by delegating to the inner
 // transport. Like a plan-triggered kill, an explicit kill freezes fault
 // injection so the fault log stays deterministic.
 func (t *Transport) KillPlace(p int) error {
-	pk, ok := t.inner.(x10rt.PlaceKiller)
-	if !ok {
-		return fmt.Errorf("chaos: inner transport %T does not support KillPlace", t.inner)
-	}
 	t.frozen.Store(true)
-	return pk.KillPlace(p)
-}
-
-// PlaceDead implements x10rt.PlaceKiller passthrough.
-func (t *Transport) PlaceDead(p int) bool {
-	if pk, ok := t.inner.(x10rt.PlaceKiller); ok {
-		return pk.PlaceDead(p)
-	}
-	return false
-}
-
-// NotifyDeath implements x10rt.DeathNotifier passthrough, so a runtime
-// stacked on a chaos wrapper still learns of place deaths.
-func (t *Transport) NotifyDeath(fn func(dead, observer int)) {
-	if dn, ok := t.inner.(x10rt.DeathNotifier); ok {
-		dn.NotifyDeath(fn)
-	}
+	return t.inner.KillPlace(p)
 }
 
 // Close implements x10rt.Transport: it stops the flusher and closes

@@ -163,7 +163,7 @@ func (r round[T]) put(w *window[T], off, dst int, vals []T) {
 	op := congruent.PutOp(w.arena, off, vals)
 	op.Bytes = elemBytes[T](len(vals))
 	src, to := int(r.c.Place()), int(r.t.members[dst])
-	if err := r.t.rt.Transport().(x10rt.OneSidedSender).SendOneSided(src, to, op); err != nil {
+	if err := r.t.rt.Transport().SendOneSided(src, to, op); err != nil {
 		var pde *x10rt.PlaceDeadError
 		if errors.As(err, &pde) {
 			panic(pde)

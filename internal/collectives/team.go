@@ -203,9 +203,6 @@ func recycle[T any](m *manager, frag []T) {
 // New creates a team over the given group. World teams are the common
 // case: New(rt, core.WorldGroup(rt), mode).
 func New(rt *core.Runtime, group core.PlaceGroup, mode Mode) *Team {
-	if mode == ModeEmulated && !rt.OneSidedEnabled() {
-		panic("collectives: ModeEmulated needs a transport with a one-sided lane")
-	}
 	t := &Team{
 		rt:      rt,
 		mgr:     managerFor(rt),

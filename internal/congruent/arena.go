@@ -28,9 +28,6 @@ import (
 // little-endian wire form (required for byte-stream transports).
 func registerArenas[T any](arr *Array[T]) {
 	at := arr.alloc.rt.Arenas()
-	if at == nil {
-		return
-	}
 	arr.arenaID = at.Reserve()
 	for p := range arr.frags {
 		a := ArenaFor(arr.frags[p])
@@ -150,5 +147,5 @@ func appendWireLE[T any](dst []byte, src []T) []byte {
 // oneSided reports whether arr's RDMA operations may use the transport's
 // one-sided lane from the calling side.
 func (arr *Array[T]) oneSided() bool {
-	return arr.arenaID != 0 && !arr.localOnly && arr.alloc.rt.OneSidedEnabled()
+	return !arr.localOnly
 }

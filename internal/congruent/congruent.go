@@ -73,11 +73,10 @@ type Array[T any] struct {
 	frags  [][]T
 	perLen int
 
-	// arenaID is the symmetric one-sided window id (x10rt.ArenaTable);
-	// 0 when the runtime has no arena registry. localOnly marks element
-	// types without a little-endian wire form: their windows serve
-	// in-process transports only and the RDMA operations use the
-	// active-message path.
+	// arenaID is the symmetric one-sided window id (x10rt.ArenaTable).
+	// localOnly marks element types without a little-endian wire form:
+	// their windows serve in-process transports only and the RDMA
+	// operations use the active-message path.
 	arenaID   uint64
 	localOnly bool
 }

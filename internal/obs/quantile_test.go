@@ -16,12 +16,12 @@ func TestHistogramQuantileExactPowersOfTwo(t *testing.T) {
 		q    float64
 		want uint64
 	}{
-		{0, 1},      // rank clamps to the first observation
-		{0.125, 1},  // rank 1 of 8
-		{0.25, 2},   // rank 2
-		{0.5, 8},    // rank 4
-		{0.75, 32},  // rank 6
-		{1.0, 128},  // rank 8
+		{0, 1},       // rank clamps to the first observation
+		{0.125, 1},   // rank 1 of 8
+		{0.25, 2},    // rank 2
+		{0.5, 8},     // rank 4
+		{0.75, 32},   // rank 6
+		{1.0, 128},   // rank 8
 		{1.5, 128},   // q clamps to 1
 		{-0.5, 1},    // q clamps to 0
 		{0.874, 64},  // nearest rank: ceil(0.874*8)=7

@@ -29,9 +29,9 @@ func FuzzDecodeBatch(f *testing.F) {
 	// Seeds are frame *payloads* (flags + body), the decoder's input.
 	f.Add(raw[frameHeaderSize:])
 	f.Add(comp[frameHeaderSize:])
-	f.Add(raw[frameHeaderSize : len(raw)-5])                   // torn batch
-	f.Add([]byte{0x00, 0x00})                                  // zero-frame batch
-	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})    // oversized length prefix
+	f.Add(raw[frameHeaderSize : len(raw)-5])                    // torn batch
+	f.Add([]byte{0x00, 0x00})                                   // zero-frame batch
+	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f})     // oversized length prefix
 	f.Add(append([]byte{0x01, 0x40}, []byte("deflate? no")...)) // compressed-bit garbage
 	f.Add([]byte{})
 

@@ -22,13 +22,13 @@ func FuzzDecodeFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(valid)
-	f.Add(valid[:len(valid)-1])                              // truncated payload
-	f.Add([]byte{})                                          // empty
-	f.Add([]byte{frameMagic, frameVersion, 0, 0, 0, 0})      // empty payload
-	f.Add([]byte{frameMagic, frameVersion + 9, 0, 0, 0, 1})  // bad version
-	f.Add([]byte{0x00, frameVersion, 0, 0, 0, 0})            // bad magic
+	f.Add(valid[:len(valid)-1])                                     // truncated payload
+	f.Add([]byte{})                                                 // empty
+	f.Add([]byte{frameMagic, frameVersion, 0, 0, 0, 0})             // empty payload
+	f.Add([]byte{frameMagic, frameVersion + 9, 0, 0, 0, 1})         // bad version
+	f.Add([]byte{0x00, frameVersion, 0, 0, 0, 0})                   // bad magic
 	f.Add([]byte{frameMagic, frameVersion, 0xff, 0xff, 0xff, 0xff}) // huge length
-	f.Add(append(append([]byte{}, valid...), valid...))      // two frames back to back
+	f.Add(append(append([]byte{}, valid...), valid...))             // two frames back to back
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Streaming parser: must terminate, never panic, never allocate

@@ -7,7 +7,7 @@ import (
 	"apgas/internal/obs"
 )
 
-// TestPlaceStatsSumToStats asserts the PlaceMetricSource contract: the
+// TestPlaceStatsSumToStats asserts the Transport.PlaceStats contract: the
 // per-place egress snapshots sum exactly to the global Stats, because
 // every message is attributed to its sender and telemetry traffic is
 // counted nowhere.

@@ -621,7 +621,7 @@ func (t *TCPTransport) readOneSided(br *bufio.Reader, payloadLen int) error {
 	return err
 }
 
-// SendOneSided implements OneSidedSender: op travels as one v5 frame
+// SendOneSided implements Transport: op travels as one v5 frame
 // whose data section is scatter-gathered straight from the caller's
 // buffer (writev) — no staging copy, no handler dispatch at the far
 // end. Ordering with Send on the same link is preserved: both serialize
@@ -710,7 +710,7 @@ func (t *TCPTransport) SendOneSided(src, dst int, op *OneSidedOp) error {
 	return nil
 }
 
-// AttachArenas implements OneSidedSink.
+// AttachArenas implements Transport.
 func (t *TCPTransport) AttachArenas(at *ArenaTable) { t.arenas.Store(at) }
 
 // dispatch counts and runs one inbound message on the caller's
@@ -744,7 +744,7 @@ func (t *TCPTransport) selfDispatch() {
 	}
 }
 
-// KillPlace implements PlaceKiller for one endpoint of a mesh: it marks
+// KillPlace implements Transport for one endpoint of a mesh: it marks
 // p dead in this endpoint's view. Sends to or from p fail fast with a
 // *PlaceDeadError, inbound frames from p (and all inbound traffic when
 // p is this endpoint itself) are discarded, and — when this endpoint
@@ -775,17 +775,17 @@ func (t *TCPTransport) KillPlace(p int) error {
 	return nil
 }
 
-// PlaceDead implements PlaceKiller.
+// PlaceDead implements Transport.
 func (t *TCPTransport) PlaceDead(p int) bool { return t.deaths.isDead(p) }
 
-// NotifyDeath implements DeathNotifier.
+// NotifyDeath implements Transport.
 func (t *TCPTransport) NotifyDeath(fn func(dead, observer int)) { t.deaths.subscribe(fn) }
 
 // Stats implements Transport. Counters cover messages sent from and
 // received at this endpoint (self-sends are counted once).
 func (t *TCPTransport) Stats() Stats { return t.ctrs.snapshot() }
 
-// AttachMetrics implements MetricSource: the traffic counters become
+// AttachMetrics implements Transport: the traffic counters become
 // visible in r under x10rt.msgs.<class> / x10rt.bytes.<class>, plus
 // the endpoint's write-queue backpressure gauge.
 func (t *TCPTransport) AttachMetrics(r *obs.Registry) {
@@ -793,12 +793,13 @@ func (t *TCPTransport) AttachMetrics(r *obs.Registry) {
 	r.RegisterGauge("x10rt.tcp.writeq", &t.writeq)
 }
 
-// AttachTracer wires a tracer into the endpoint so batch frames carry
-// HLC stamps (frame version 3) while distributed tracing is enabled.
-// Safe to call at any time; nil detaches.
+// AttachTracer implements Transport: it wires a tracer into the
+// endpoint so batch frames carry HLC stamps (frame version 3) while
+// distributed tracing is enabled. Safe to call at any time; nil
+// detaches.
 func (t *TCPTransport) AttachTracer(tr *obs.Tracer) { t.tr.Store(tr) }
 
-// PlaceStats implements PlaceMetricSource. A TCP endpoint only carries
+// PlaceStats implements Transport. A TCP endpoint only carries
 // its own place's egress; any other place reports zero here (its own
 // endpoint, in its own process, holds its counters).
 func (t *TCPTransport) PlaceStats(p int) Stats {
@@ -808,7 +809,7 @@ func (t *TCPTransport) PlaceStats(p int) Stats {
 	return t.egress.snapshot()
 }
 
-// AttachPlaceMetrics implements PlaceMetricSource.
+// AttachPlaceMetrics implements Transport.
 func (t *TCPTransport) AttachPlaceMetrics(p int, r *obs.Registry) {
 	if p == t.opts.Place {
 		t.egress.attach(r)
@@ -816,10 +817,13 @@ func (t *TCPTransport) AttachPlaceMetrics(p int, r *obs.Registry) {
 	}
 }
 
-// AttachWireLedger implements LedgerSink: sends, receives, and
+// AttachWireLedger implements Transport: sends, receives, and
 // serialization timings at this endpoint are attributed by
 // (handler, link). Safe to call at any time; nil detaches.
 func (t *TCPTransport) AttachWireLedger(lg *WireLedger) { t.lg.Store(lg) }
+
+// Flush implements Transport: every send is written before it returns.
+func (t *TCPTransport) Flush(int) error { return nil }
 
 // Close implements Transport.
 func (t *TCPTransport) Close() error {

@@ -3,7 +3,7 @@
 // "X10 and APGAS at Petascale" (PPoPP 2014), §3.3.
 //
 // The X10 runtime has a layered structure: the upper layers (finish
-// protocols, collectives, RDMA emulation) are written against the small
+// protocols, collectives, RDMA emulation) are written against the one
 // transport interface defined here, and concrete transports adapt it to a
 // particular interconnect. This package provides two transports:
 //
@@ -12,12 +12,16 @@
 //     fault and disorder injection (per-message delay, reordering) so the
 //     termination-detection protocols can be exercised under the network
 //     reordering hazards that motivated their design.
-//   - TCPTransport: a socket transport with gob-serialized active
-//     messages, standing in for the PAMI/sockets backends of X10RT.
+//   - TCPTransport: a socket transport with framed active messages
+//     (gob, or the binary codec with Codec set), standing in for the
+//     PAMI/sockets backends of X10RT.
 //
-// An implementation is only required to provide basic point-to-point
-// active-message primitives; everything else (collectives, RDMA) is
-// emulated above this interface, exactly as the paper describes.
+// Every transport implements the whole Transport interface — active
+// messages, the one-sided lane, place death, flushing and the
+// observability attachments — and the decorators (BatchingTransport,
+// CountingTransport, chaos.Transport) forward all of it. Collectives,
+// RDMA-style copies and the finish protocols are built above it, as the
+// paper describes.
 package x10rt
 
 import (
@@ -65,7 +69,11 @@ func (c Class) String() string {
 	}
 }
 
-// Transport is the point-to-point active message layer connecting places.
+// Transport is the point-to-point active message layer connecting places,
+// with everything the runtime above asks of it: flushing, place death,
+// the one-sided lane, and the observability attachments. Every transport
+// implements all of it, so callers never probe for a capability;
+// decorators (batching, counting, chaos) forward each method inward.
 //
 // All methods are safe for concurrent use. Message delivery between a fixed
 // (src, dst) pair is FIFO unless the transport was configured to inject
@@ -87,8 +95,58 @@ type Transport interface {
 	// Send never blocks on the destination's progress.
 	Send(src, dst int, id HandlerID, payload any, bytes int, class Class) error
 
-	// Stats returns a snapshot of traffic counters.
+	// Flush pushes every message buffered at source place src (all of
+	// them when src < 0) to the wire now. The runtime calls it at
+	// protocol flush points — after a finish quiescence snapshot, after
+	// a dense-router forward — where latency, not bandwidth, is on the
+	// critical path. Transports that do not buffer return nil.
+	Flush(src int) error
+
+	// SendOneSided ships op from src to dst on the one-sided lane, FIFO
+	// with Send on the same link, accounted as DataClass under
+	// HandlerOneSided. AttachArenas hands the transport the
+	// process-wide arena table the ops land in.
+	SendOneSided(src, dst int, op *OneSidedOp) error
+	AttachArenas(at *ArenaTable)
+
+	// KillPlace severs place p: sends to or from p fail fast with a
+	// *PlaceDeadError, messages queued at p are discarded, and every
+	// NotifyDeath callback fires. Idempotent; an out-of-range p returns
+	// ErrBadPlace. PlaceDead reports whether p has been killed.
+	KillPlace(p int) error
+	PlaceDead(p int) bool
+
+	// NotifyDeath subscribes fn to place death. It fires exactly once per
+	// (dead place, surviving place) pair: an in-process transport serving
+	// n places calls fn once for every surviving observer; a per-place
+	// endpoint (TCP) calls it once with its own place as the observer.
+	// Callbacks run on a fresh goroutine, never the one that triggered
+	// the kill, so they may call back into the transport freely.
+	NotifyDeath(fn func(dead, observer int))
+
+	// Stats returns a snapshot of traffic counters. PlaceStats returns
+	// the traffic sent by place p (zero when the transport does not
+	// carry p's egress, e.g. a remote endpoint); summed over all places
+	// it equals Stats, since every message is attributed to its sender.
 	Stats() Stats
+	PlaceStats(p int) Stats
+
+	// AttachMetrics registers the always-on traffic counters in r under
+	// the canonical x10rt.* names (attaching adds names, not cost).
+	// AttachPlaceMetrics registers place p's counters under the same
+	// unqualified names, so per-place snapshots merge by name.
+	AttachMetrics(r *obs.Registry)
+	AttachPlaceMetrics(p int, r *obs.Registry)
+
+	// AttachTracer enables wire-level distributed tracing: a serializing
+	// transport stamps outgoing frames with the sender's hybrid logical
+	// clock and folds inbound stamps back in. In-process places share
+	// one clock and ignore it.
+	AttachTracer(tr *obs.Tracer)
+
+	// AttachWireLedger attributes every subsequent send and delivery to
+	// lg by (handler, link). Safe to call at any time; nil detaches.
+	AttachWireLedger(lg *WireLedger)
 
 	// Close shuts down dispatchers and releases resources. After Close,
 	// Send returns ErrClosed.
@@ -160,27 +218,6 @@ func (e *PlaceDeadError) Error() string {
 
 // Unwrap makes errors.Is(err, ErrPlaceDead) hold for any PlaceDeadError.
 func (e *PlaceDeadError) Unwrap() error { return ErrPlaceDead }
-
-// DeathNotifier is implemented by transports that can report place
-// death upward. Each registered callback fires exactly once per
-// (dead place, surviving place) pair: an in-process transport serving n
-// places invokes fn once for every surviving observer; a per-place
-// endpoint (TCP) invokes fn once with its own place as the observer.
-// Callbacks run on a fresh goroutine — never on the goroutine that
-// triggered the kill — so they may call back into the transport freely.
-type DeathNotifier interface {
-	NotifyDeath(fn func(dead, observer int))
-}
-
-// PlaceKiller is implemented by transports that support severing a
-// place. After KillPlace(p): sends to or from p fail fast with a
-// *PlaceDeadError, messages queued for delivery at p are discarded, and
-// every DeathNotifier callback fires once per survivor. KillPlace is
-// idempotent; killing an out-of-range place returns ErrBadPlace.
-type PlaceKiller interface {
-	KillPlace(p int) error
-	PlaceDead(p int) bool
-}
 
 // deathState is the shared kill bookkeeping used by the concrete
 // transports: the dead set, the subscribed callbacks, and the
@@ -319,41 +356,6 @@ func (s Stats) String() string {
 		s.WireBytes)
 }
 
-// MetricSource is implemented by transports whose traffic counters can
-// be surfaced in an obs.Registry. The runtime attaches the registry of
-// its observability layer at construction time; the counters themselves
-// are always on, so Stats remains a plain view over the same atomics —
-// attaching adds names, not cost.
-type MetricSource interface {
-	AttachMetrics(r *obs.Registry)
-}
-
-// TracerSink is implemented by transports that participate in
-// distributed tracing at the wire level: an attached tracer lets them
-// stamp outgoing batch frames with the sender's hybrid logical clock
-// and fold inbound stamps back in. Decorator transports delegate to
-// the layer that actually encodes frames.
-type TracerSink interface {
-	AttachTracer(tr *obs.Tracer)
-}
-
-// PlaceMetricSource is implemented by transports that additionally
-// attribute traffic to individual places (by source, i.e. egress
-// accounting), so the telemetry plane can aggregate per-place views.
-// The sum of PlaceStats over all places equals Stats: every message is
-// attributed to exactly one place, its sender.
-type PlaceMetricSource interface {
-	MetricSource
-	// PlaceStats returns the traffic sent by place p (zero Stats when
-	// the transport does not carry p's egress, e.g. a remote endpoint).
-	PlaceStats(p int) Stats
-	// AttachPlaceMetrics registers place p's traffic counters in r under
-	// the same canonical x10rt.* names used by AttachMetrics; per-place
-	// registries deliberately use unqualified names so snapshots from
-	// different places merge by name.
-	AttachPlaceMetrics(p int, r *obs.Registry)
-}
-
 // BatchMsg is one message inside a pre-batched send. It carries
 // everything Send takes except the places, which are per-batch: a batch
 // travels one (src, dst) link, preserving per-link FIFO.
@@ -374,17 +376,6 @@ type BatchMsg struct {
 // must be delivered in slice order.
 type BatchSender interface {
 	SendBatch(src, dst int, msgs []BatchMsg, compressMin int) error
-}
-
-// Flusher is implemented by transports that buffer sends (the
-// BatchingTransport). Flush pushes every message queued at source place
-// src out to the underlying transport immediately, overriding the flush
-// policy. The runtime calls it at protocol flush points — after a
-// finish quiescence snapshot, after a dense-router forward — where
-// latency, not bandwidth, is on the critical path. Wrappers that
-// decorate a Flusher (counting, chaos) forward Flush to it.
-type Flusher interface {
-	Flush(src int) error
 }
 
 // counters accumulates traffic statistics with atomic updates. The cells

@@ -20,6 +20,41 @@ func singleObjectMesh(places int, tr x10rt.Transport) *transporttest.Mesh {
 	}
 }
 
+// perPlaceMesh adapts one endpoint per place (a TCP mesh and any
+// decorator over its endpoints).
+func perPlaceMesh[T x10rt.Transport](eps []T) *transporttest.Mesh {
+	return &transporttest.Mesh{
+		Places:   len(eps),
+		Endpoint: func(p int) x10rt.Transport { return eps[p] },
+		Register: func(id x10rt.HandlerID, h x10rt.Handler) error {
+			for _, tr := range eps {
+				if err := tr.Register(id, h); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		Close: func() error {
+			var first error
+			for _, tr := range eps {
+				if err := tr.Close(); err != nil && first == nil {
+					first = err
+				}
+			}
+			return first
+		},
+	}
+}
+
+// closeAll registers the teardown of every endpoint with the test.
+func closeAll[T x10rt.Transport](t *testing.T, eps []T) {
+	t.Cleanup(func() {
+		for _, tr := range eps {
+			tr.Close()
+		}
+	})
+}
+
 func chanFactory(t *testing.T, places int) *transporttest.Mesh {
 	tr, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: places})
 	if err != nil {
@@ -29,37 +64,30 @@ func chanFactory(t *testing.T, places int) *transporttest.Mesh {
 	return singleObjectMesh(places, tr)
 }
 
-func tcpFactory(t *testing.T, places int) *transporttest.Mesh {
-	mesh, err := x10rt.NewLocalTCPMesh(places)
+// tcpMesh builds a loopback TCP mesh, plain or with the v4 binary codec
+// negotiated on every connection.
+func tcpMesh(t *testing.T, places int, codec bool) []*x10rt.TCPTransport {
+	newMesh := x10rt.NewLocalTCPMesh
+	if codec {
+		newMesh = x10rt.NewLocalCodecTCPMesh
+	}
+	mesh, err := newMesh(places)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		for _, tr := range mesh {
-			tr.Close()
-		}
-	})
-	return &transporttest.Mesh{
-		Places:   places,
-		Endpoint: func(p int) x10rt.Transport { return mesh[p] },
-		Register: func(id x10rt.HandlerID, h x10rt.Handler) error {
-			for _, tr := range mesh {
-				if err := tr.Register(id, h); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Close: func() error {
-			var first error
-			for _, tr := range mesh {
-				if err := tr.Close(); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		},
-	}
+	closeAll(t, mesh)
+	return mesh
+}
+
+func tcpFactory(t *testing.T, places int) *transporttest.Mesh {
+	return perPlaceMesh(tcpMesh(t, places, false))
+}
+
+// codecTCPFactory is the TCP mesh with the v4 binary codec negotiated on
+// every connection: the same conformance battery must hold bit-for-bit
+// when frames carry type-table handshakes and codec payloads.
+func codecTCPFactory(t *testing.T, places int) *transporttest.Mesh {
+	return perPlaceMesh(tcpMesh(t, places, true))
 }
 
 func countingFactory(t *testing.T, places int) *transporttest.Mesh {
@@ -72,59 +100,38 @@ func countingFactory(t *testing.T, places int) *transporttest.Mesh {
 	return singleObjectMesh(places, tr)
 }
 
+var testBatchOptions = x10rt.BatchOptions{MaxDelay: 100 * time.Microsecond, MaxFrames: 16}
+
 func batchingFactory(t *testing.T, places int) *transporttest.Mesh {
 	inner, err := x10rt.NewChanTransport(x10rt.ChanOptions{Places: places})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := x10rt.NewBatchingTransport(inner, x10rt.BatchOptions{
-		MaxDelay:  100 * time.Microsecond,
-		MaxFrames: 16,
-	})
+	tr := x10rt.NewBatchingTransport(inner, testBatchOptions)
 	t.Cleanup(func() { tr.Close() })
 	return singleObjectMesh(places, tr)
 }
 
-// batchingTCPFactory stacks the wrapper over a serializing transport,
-// exercising the SendBatch fast path under the same battery.
-func batchingTCPFactory(t *testing.T, places int) *transporttest.Mesh {
-	mesh, err := x10rt.NewLocalTCPMesh(places)
-	if err != nil {
-		t.Fatal(err)
-	}
+// batchedTCP stacks the batching wrapper over each endpoint of a TCP
+// mesh, exercising the SendBatch fast path.
+func batchedTCP(t *testing.T, places int, codec bool) *transporttest.Mesh {
+	mesh := tcpMesh(t, places, codec)
 	wrapped := make([]*x10rt.BatchingTransport, places)
 	for p, tr := range mesh {
-		wrapped[p] = x10rt.NewBatchingTransport(tr, x10rt.BatchOptions{
-			MaxDelay:  100 * time.Microsecond,
-			MaxFrames: 16,
-		})
+		wrapped[p] = x10rt.NewBatchingTransport(tr, testBatchOptions)
 	}
-	t.Cleanup(func() {
-		for _, tr := range wrapped {
-			tr.Close()
-		}
-	})
-	return &transporttest.Mesh{
-		Places:   places,
-		Endpoint: func(p int) x10rt.Transport { return wrapped[p] },
-		Register: func(id x10rt.HandlerID, h x10rt.Handler) error {
-			for _, tr := range wrapped {
-				if err := tr.Register(id, h); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Close: func() error {
-			var first error
-			for _, tr := range wrapped {
-				if err := tr.Close(); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		},
-	}
+	closeAll(t, wrapped)
+	return perPlaceMesh(wrapped)
+}
+
+func batchingTCPFactory(t *testing.T, places int) *transporttest.Mesh {
+	return batchedTCP(t, places, false)
+}
+
+// batchingCodecTCPFactory: coalesced v4 frames with per-connection type
+// tables.
+func batchingCodecTCPFactory(t *testing.T, places int) *transporttest.Mesh {
+	return batchedTCP(t, places, true)
 }
 
 func chaosFactory(t *testing.T, places int) *transporttest.Mesh {
@@ -140,6 +147,20 @@ func chaosFactory(t *testing.T, places int) *transporttest.Mesh {
 	return singleObjectMesh(places, tr)
 }
 
+// chaosCodecTCPFactory wraps the codec TCP mesh in the chaos decorator
+// (zero fault probabilities): one-sided and codec frames must pass
+// through the fault plumbing untouched and without consuming fault-
+// stream sequence numbers.
+func chaosCodecTCPFactory(t *testing.T, places int) *transporttest.Mesh {
+	mesh := tcpMesh(t, places, true)
+	wrapped := make([]*chaos.Transport, places)
+	for p, tr := range mesh {
+		wrapped[p] = chaos.Wrap(tr, chaos.Options{Seed: 1})
+	}
+	closeAll(t, wrapped)
+	return perPlaceMesh(wrapped)
+}
+
 func TestConformanceChan(t *testing.T)     { transporttest.TestTransport(t, chanFactory) }
 func TestConformanceTCP(t *testing.T)      { transporttest.TestTransport(t, tcpFactory) }
 func TestConformanceCounting(t *testing.T) { transporttest.TestTransport(t, countingFactory) }
@@ -147,7 +168,14 @@ func TestConformanceBatching(t *testing.T) { transporttest.TestTransport(t, batc
 func TestConformanceBatchingTCP(t *testing.T) {
 	transporttest.TestTransport(t, batchingTCPFactory)
 }
-func TestConformanceChaos(t *testing.T) { transporttest.TestTransport(t, chaosFactory) }
+func TestConformanceChaos(t *testing.T)    { transporttest.TestTransport(t, chaosFactory) }
+func TestConformanceCodecTCP(t *testing.T) { transporttest.TestTransport(t, codecTCPFactory) }
+func TestConformanceBatchingCodecTCP(t *testing.T) {
+	transporttest.TestTransport(t, batchingCodecTCPFactory)
+}
+func TestConformanceChaosCodecTCP(t *testing.T) {
+	transporttest.TestTransport(t, chaosCodecTCPFactory)
+}
 
 // The death battery runs against every transport shape: after KillPlace
 // the sends fail fast and typed, frames are never duplicated, and death
@@ -159,149 +187,41 @@ func TestDeathBatching(t *testing.T) { transporttest.TestTransportDeath(t, batch
 func TestDeathBatchingTCP(t *testing.T) {
 	transporttest.TestTransportDeath(t, batchingTCPFactory)
 }
-func TestDeathChaos(t *testing.T) { transporttest.TestTransportDeath(t, chaosFactory) }
-
-// codecTCPFactory is the TCP mesh with the v4 binary codec negotiated on
-// every connection: the same conformance battery must hold bit-for-bit
-// when frames carry type-table handshakes and codec payloads.
-func codecTCPFactory(t *testing.T, places int) *transporttest.Mesh {
-	mesh, err := x10rt.NewLocalCodecTCPMesh(places)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		for _, tr := range mesh {
-			tr.Close()
-		}
-	})
-	return &transporttest.Mesh{
-		Places:   places,
-		Endpoint: func(p int) x10rt.Transport { return mesh[p] },
-		Register: func(id x10rt.HandlerID, h x10rt.Handler) error {
-			for _, tr := range mesh {
-				if err := tr.Register(id, h); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Close: func() error {
-			var first error
-			for _, tr := range mesh {
-				if err := tr.Close(); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		},
-	}
-}
-
-// batchingCodecTCPFactory stacks the batching wrapper over the codec TCP
-// mesh: coalesced v4 frames with per-connection type tables.
-func batchingCodecTCPFactory(t *testing.T, places int) *transporttest.Mesh {
-	mesh, err := x10rt.NewLocalCodecTCPMesh(places)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := make([]*x10rt.BatchingTransport, places)
-	for p, tr := range mesh {
-		wrapped[p] = x10rt.NewBatchingTransport(tr, x10rt.BatchOptions{
-			MaxDelay:  100 * time.Microsecond,
-			MaxFrames: 16,
-		})
-	}
-	t.Cleanup(func() {
-		for _, tr := range wrapped {
-			tr.Close()
-		}
-	})
-	return &transporttest.Mesh{
-		Places:   places,
-		Endpoint: func(p int) x10rt.Transport { return wrapped[p] },
-		Register: func(id x10rt.HandlerID, h x10rt.Handler) error {
-			for _, tr := range wrapped {
-				if err := tr.Register(id, h); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Close: func() error {
-			var first error
-			for _, tr := range wrapped {
-				if err := tr.Close(); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		},
-	}
-}
-
-// chaosCodecTCPFactory wraps the codec TCP mesh in the chaos decorator
-// (zero fault probabilities): one-sided and codec frames must pass
-// through the fault plumbing untouched and without consuming fault-
-// stream sequence numbers.
-func chaosCodecTCPFactory(t *testing.T, places int) *transporttest.Mesh {
-	mesh, err := x10rt.NewLocalCodecTCPMesh(places)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := make([]*chaos.Transport, places)
-	for p, tr := range mesh {
-		wrapped[p] = chaos.Wrap(tr, chaos.Options{Seed: 1})
-	}
-	t.Cleanup(func() {
-		for _, tr := range wrapped {
-			tr.Close()
-		}
-	})
-	return &transporttest.Mesh{
-		Places:   places,
-		Endpoint: func(p int) x10rt.Transport { return wrapped[p] },
-		Register: func(id x10rt.HandlerID, h x10rt.Handler) error {
-			for _, tr := range wrapped {
-				if err := tr.Register(id, h); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-		Close: func() error {
-			var first error
-			for _, tr := range wrapped {
-				if err := tr.Close(); err != nil && first == nil {
-					first = err
-				}
-			}
-			return first
-		},
-	}
-}
-
-func TestConformanceCodecTCP(t *testing.T) { transporttest.TestTransport(t, codecTCPFactory) }
-func TestConformanceBatchingCodecTCP(t *testing.T) {
-	transporttest.TestTransport(t, batchingCodecTCPFactory)
-}
-
+func TestDeathChaos(t *testing.T)    { transporttest.TestTransportDeath(t, chaosFactory) }
 func TestDeathCodecTCP(t *testing.T) { transporttest.TestTransportDeath(t, codecTCPFactory) }
 func TestDeathBatchingCodecTCP(t *testing.T) {
 	transporttest.TestTransportDeath(t, batchingCodecTCPFactory)
 }
+func TestDeathChaosCodecTCP(t *testing.T) {
+	transporttest.TestTransportDeath(t, chaosCodecTCPFactory)
+}
 
-// The one-sided battery runs against every transport shape with the
-// lane: raw chan, plain and codec TCP, the batching and counting
-// decorators, and chaos over both chan and codec TCP.
+// The one-sided battery runs against every transport shape as well.
 func TestOneSidedChan(t *testing.T)     { transporttest.TestTransportOneSided(t, chanFactory) }
 func TestOneSidedTCP(t *testing.T)      { transporttest.TestTransportOneSided(t, tcpFactory) }
 func TestOneSidedCodecTCP(t *testing.T) { transporttest.TestTransportOneSided(t, codecTCPFactory) }
 func TestOneSidedCounting(t *testing.T) { transporttest.TestTransportOneSided(t, countingFactory) }
 func TestOneSidedBatching(t *testing.T) { transporttest.TestTransportOneSided(t, batchingFactory) }
+func TestOneSidedBatchingTCP(t *testing.T) {
+	transporttest.TestTransportOneSided(t, batchingTCPFactory)
+}
 func TestOneSidedBatchingCodecTCP(t *testing.T) {
 	transporttest.TestTransportOneSided(t, batchingCodecTCPFactory)
 }
 func TestOneSidedChaos(t *testing.T) { transporttest.TestTransportOneSided(t, chaosFactory) }
 func TestOneSidedChaosCodecTCP(t *testing.T) {
 	transporttest.TestTransportOneSided(t, chaosCodecTCPFactory)
+}
+
+// The forwarding check runs on the decorators: everything attached to
+// the outermost transport must reach the one beneath.
+func TestForwardingCounting(t *testing.T) {
+	transporttest.TestTransportForwarding(t, countingFactory)
+}
+func TestForwardingBatching(t *testing.T) {
+	transporttest.TestTransportForwarding(t, batchingFactory)
+}
+func TestForwardingChaos(t *testing.T) { transporttest.TestTransportForwarding(t, chaosFactory) }
+func TestForwardingChaosCodecTCP(t *testing.T) {
+	transporttest.TestTransportForwarding(t, chaosCodecTCPFactory)
 }

@@ -9,6 +9,10 @@
 //   - payload-byte accounting against Stats/PlaceStats,
 //   - Close-while-sending semantics.
 //
+// TestTransportDeath and TestTransportOneSided add the place-death and
+// one-sided batteries, and TestTransportForwarding checks that a
+// decorator passes every attachment through to the transport beneath.
+//
 // The suite is transport-shape agnostic: an in-process transport is one
 // object serving every place, while a TCP mesh is one endpoint object
 // per place. The Mesh adapter normalizes both.
@@ -21,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"apgas/internal/obs"
 	"apgas/internal/x10rt"
 )
 
@@ -70,16 +75,8 @@ func await(t *testing.T, what string, pred func() bool) {
 
 // flushAll pushes pending batches out on transports that buffer.
 func flushAll(m *Mesh) {
-	seen := map[x10rt.Transport]bool{}
-	for p := 0; p < m.Places; p++ {
-		ep := m.Endpoint(p)
-		if seen[ep] {
-			continue
-		}
-		seen[ep] = true
-		if f, ok := ep.(x10rt.Flusher); ok {
-			_ = f.Flush(-1)
-		}
+	for _, ep := range endpoints(m) {
+		_ = ep.Flush(-1)
 	}
 }
 
@@ -95,13 +92,90 @@ func TestTransport(t *testing.T, factory Factory) {
 // TestTransportDeath runs the death-semantics battery: after KillPlace,
 // sends touching the dead place fail fast with the typed error, no frame
 // is ever delivered twice (discarding queued frames for the victim is
-// allowed; duplicating anything is not), and every DeathNotifier
+// allowed; duplicating anything is not), and every NotifyDeath
 // subscription observes the death exactly once per surviving place.
-// Factories whose transports do not implement PlaceKiller are skipped.
 func TestTransportDeath(t *testing.T, factory Factory) {
 	t.Run("FailFastTypedError", func(t *testing.T) { testDeathFailFast(t, factory) })
 	t.Run("NotifierOncePerSurvivor", func(t *testing.T) { testDeathNotifier(t, factory) })
 	t.Run("NoDoubleDelivery", func(t *testing.T) { testDeathNoDoubleDelivery(t, factory) })
+}
+
+// TestTransportForwarding checks that a decorator forwards the whole
+// Transport surface to the transport beneath it. A tracer with
+// distributed tracing on, a wire ledger, metric registries and an arena
+// table are attached to the outermost transport only; one put and one
+// active message then travel 0 → 1, and each attachment must show an
+// effect only the innermost transport produces: the put lands in the
+// arena, the registries count both messages, the ledger attributes
+// their payload bytes, and — on a mesh of per-place codec endpoints,
+// whose frames carry the sender's hybrid logical clock — the receiver's
+// clock moves past the sender's stamp. In-process places share one
+// clock and carry no stamp, so there the tracer only has to be accepted.
+func TestTransportForwarding(t *testing.T, factory Factory) {
+	const places, payload = 2, 8
+	m := factory(t, places)
+	eps := endpoints(m)
+	at := x10rt.NewArenaTable()
+	win := make([]byte, payload)
+	byteArena(at, 1, 1, win)
+	lg := x10rt.NewWireLedger(places, nil)
+	tracers := make([]*obs.Tracer, len(eps))
+	regs := make([]*obs.Registry, len(eps))
+	for i, ep := range eps {
+		tracers[i] = obs.NewTracer()
+		tracers[i].EnableDist(1)
+		ep.AttachTracer(tracers[i])
+		regs[i] = obs.NewRegistry()
+		ep.AttachMetrics(regs[i])
+		ep.AttachWireLedger(lg)
+		ep.AttachArenas(at)
+	}
+	placeRegs := make([]*obs.Registry, places)
+	for p := range placeRegs {
+		placeRegs[p] = obs.NewRegistry()
+		m.Endpoint(p).AttachPlaceMetrics(p, placeRegs[p])
+	}
+	// Push the sender's clock far past physical time: a receiver that
+	// folds in the stamp ends up beyond it, one that never sees the
+	// stamp stays near the present.
+	const farHLC = 1 << 60
+	tracers[0].HLCObserve(0, farHLC)
+
+	var got atomic.Int64
+	if err := m.Register(handlerID, func(src, dst int, payload any) { got.Add(1) }); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	src := m.Endpoint(0)
+	data := appendU64(nil, 42)
+	if err := src.SendOneSided(0, 1, &x10rt.OneSidedOp{
+		Kind: x10rt.OneSidedPut, Arena: 1, Elems: payload, Data: data, Local: data, Bytes: payload,
+	}); err != nil {
+		t.Fatalf("SendOneSided: %v", err)
+	}
+	if err := src.Send(0, 1, handlerID, Payload{Seq: 1}, payload, x10rt.DataClass); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	flushAll(m)
+	await(t, "delivery", func() bool { return got.Load() == 1 })
+
+	// The put precedes the message on the link, so it has landed.
+	if v := leU64(win); v != 42 {
+		t.Errorf("put through the attached arena table landed %d, want 42", v)
+	}
+	if n := regs[0].Counter("x10rt.msgs.data").Value(); n != 2 {
+		t.Errorf("attached registry counts %d data messages sent by place 0, want 2", n)
+	}
+	if n := placeRegs[0].Counter("x10rt.msgs.data").Value(); n != 2 {
+		t.Errorf("attached place-0 registry counts %d data messages, want 2", n)
+	}
+	if b := lg.Snapshot().TotalPayloadBytes(); b != 2*payload {
+		t.Errorf("attached ledger attributes %d payload bytes, want %d", b, 2*payload)
+	}
+	if len(eps) == places {
+		if c := tracers[1].HLCTick(1); c <= farHLC {
+			t.Errorf("receiver clock %#x did not fold in the sender's stamp (> %#x)", c, uint64(farHLC))
+		}
+	}
 }
 
 // endpoints returns the distinct transport objects of the mesh.
@@ -119,16 +193,11 @@ func endpoints(m *Mesh) []x10rt.Transport {
 
 // killAll kills place v the way a cluster's failure detector would: on
 // every distinct endpoint. A single-object transport sees one call; a
-// mesh of per-place endpoints sees one per endpoint. Skips the test if
-// the transport has no PlaceKiller.
+// mesh of per-place endpoints sees one per endpoint.
 func killAll(t *testing.T, m *Mesh, v int) {
 	t.Helper()
 	for _, ep := range endpoints(m) {
-		pk, ok := ep.(x10rt.PlaceKiller)
-		if !ok {
-			t.Skipf("transport %T does not implement PlaceKiller", ep)
-		}
-		if err := pk.KillPlace(v); err != nil {
+		if err := ep.KillPlace(v); err != nil {
 			t.Fatalf("KillPlace(%d) on %T: %v", v, ep, err)
 		}
 	}
@@ -185,11 +254,7 @@ func testDeathNotifier(t *testing.T, factory Factory) {
 	fired := map[[2]int]int{}
 	eps := endpoints(m)
 	for _, ep := range eps {
-		dn, ok := ep.(x10rt.DeathNotifier)
-		if !ok {
-			t.Skipf("transport %T does not implement DeathNotifier", ep)
-		}
-		dn.NotifyDeath(func(dead, observer int) {
+		ep.NotifyDeath(func(dead, observer int) {
 			mu.Lock()
 			fired[[2]int{dead, observer}]++
 			mu.Unlock()
@@ -212,7 +277,7 @@ func testDeathNotifier(t *testing.T, factory Factory) {
 	time.Sleep(20 * time.Millisecond)
 	// A second kill of the same place must not renotify.
 	for _, ep := range eps {
-		_ = ep.(x10rt.PlaceKiller).KillPlace(victim)
+		_ = ep.KillPlace(victim)
 	}
 	time.Sleep(20 * time.Millisecond)
 
@@ -255,9 +320,6 @@ func testDeathNoDoubleDelivery(t *testing.T, factory Factory) {
 	})
 	if err != nil {
 		t.Fatalf("Register: %v", err)
-	}
-	if _, ok := m.Endpoint(0).(x10rt.PlaceKiller); !ok {
-		t.Skipf("transport %T does not implement PlaceKiller", m.Endpoint(0))
 	}
 
 	okToSurvivor := make([]bool, stream)
@@ -480,11 +542,7 @@ func testByteAccounting(t *testing.T, factory Factory) {
 
 	var sum x10rt.Stats
 	for p := 0; p < places; p++ {
-		ps, ok := m.Endpoint(p).(x10rt.PlaceMetricSource)
-		if !ok {
-			t.Fatalf("endpoint %d is not a PlaceMetricSource", p)
-		}
-		s := ps.PlaceStats(p)
+		s := m.Endpoint(p).PlaceStats(p)
 		for i := range sum.Messages {
 			sum.Messages[i] += s.Messages[i]
 			sum.Bytes[i] += s.Bytes[i]
@@ -568,8 +626,7 @@ func testCloseWhileSending(t *testing.T, factory Factory) {
 
 // ---------------------------------------------------------------------
 // One-sided battery: the frame-v5 lane that lands (arena, offset, raw
-// bytes) without active-message dispatch. Transports without the lane
-// (no OneSidedSender/OneSidedSink) skip.
+// bytes) without active-message dispatch.
 
 // oneSidedHandler is the flag channel for the ordering tests.
 const oneSidedHandler = handlerID + 7
@@ -586,21 +643,15 @@ func TestTransportOneSided(t *testing.T, factory Factory) {
 	t.Run("LandedNotification", func(t *testing.T) { testOneSidedLanded(t, factory) })
 }
 
-// oneSidedMesh builds the mesh, requires the lane on every endpoint, and
-// attaches one shared ArenaTable (the process-wide registry shape the
-// core runtime uses).
+// oneSidedMesh builds the mesh and attaches one shared ArenaTable to
+// every endpoint (the process-wide registry shape the core runtime
+// uses).
 func oneSidedMesh(t *testing.T, factory Factory, places int) (*Mesh, *x10rt.ArenaTable) {
 	t.Helper()
 	m := factory(t, places)
 	at := x10rt.NewArenaTable()
 	for _, ep := range endpoints(m) {
-		snd, ok := ep.(x10rt.OneSidedSender)
-		sink, ok2 := ep.(x10rt.OneSidedSink)
-		if !ok || !ok2 {
-			t.Skipf("transport %T has no one-sided lane", ep)
-		}
-		_ = snd
-		sink.AttachArenas(at)
+		ep.AttachArenas(at)
 	}
 	return m, at
 }
@@ -698,14 +749,13 @@ func testOneSidedPutOrdering(t *testing.T, factory Factory) {
 	}
 
 	src := m.Endpoint(0)
-	snd := src.(x10rt.OneSidedSender)
 	for i := 0; i < rounds; i++ {
 		data := appendU64(nil, uint64(i))
 		op := &x10rt.OneSidedOp{
 			Kind: x10rt.OneSidedPut, Arena: 1, Off: 0, Elems: 8,
 			Data: data, Local: data, Bytes: 8,
 		}
-		if err := snd.SendOneSided(0, 1, op); err != nil {
+		if err := src.SendOneSided(0, 1, op); err != nil {
 			t.Fatalf("SendOneSided(round %d): %v", i, err)
 		}
 		if err := src.Send(0, 1, oneSidedHandler, Payload{Seq: i}, 8, x10rt.DataClass); err != nil {
@@ -744,7 +794,7 @@ func testOneSidedLanded(t *testing.T, factory Factory) {
 	}
 	at.Register(2, 1, arena)
 	for src := 0; src < 2; src++ {
-		snd := m.Endpoint(src).(x10rt.OneSidedSender)
+		snd := m.Endpoint(src)
 		for i := 0; i < puts; i++ {
 			off, elems := src*puts+i, i%2 // every other put is empty
 			vals := []uint64{uint64(src*1000 + off)}[:elems]
@@ -812,8 +862,7 @@ func testOneSidedGet(t *testing.T, factory Factory) {
 		},
 	})
 
-	snd := m.Endpoint(0).(x10rt.OneSidedSender)
-	if err := snd.SendOneSided(0, 1, &x10rt.OneSidedOp{
+	if err := m.Endpoint(0).SendOneSided(0, 1, &x10rt.OneSidedOp{
 		Kind: x10rt.OneSidedGet, Arena: 1, Off: 8, Elems: 16, ReplyArena: reply,
 	}); err != nil {
 		t.Fatalf("SendOneSided(get): %v", err)
@@ -832,19 +881,25 @@ func testOneSidedGet(t *testing.T, factory Factory) {
 
 // testOneSidedAtomics: adds and paired xors from two concurrent senders
 // must accumulate exactly — the landings are read-modify-write atomic
-// even when transport readers run in parallel.
+// even when transport readers run in parallel. Each sender ends with an
+// active message on the same link, which arrives only after all of its
+// ops have landed; the words are checked once both have arrived.
 func testOneSidedAtomics(t *testing.T, factory Factory) {
 	const places, perSender = 3, 100
 	m, at := oneSidedMesh(t, factory, places)
 	win := make([]uint64, 4)
 	u64Arena(at, 1, 1, win)
+	var done atomic.Int64
+	if err := m.Register(oneSidedHandler, func(src, dst int, payload any) { done.Add(1) }); err != nil {
+		t.Fatalf("Register: %v", err)
+	}
 
 	var wg sync.WaitGroup
 	for _, sender := range []int{0, 2} {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			snd := m.Endpoint(s).(x10rt.OneSidedSender)
+			snd := m.Endpoint(s)
 			for i := 0; i < perSender; i++ {
 				if err := snd.SendOneSided(s, 1, &x10rt.OneSidedOp{
 					Kind: x10rt.OneSidedAdd, Arena: 1, Off: 0, Val: 1,
@@ -873,15 +928,18 @@ func testOneSidedAtomics(t *testing.T, factory Factory) {
 				Data: recs, Bytes: len(recs),
 			}); err != nil {
 				t.Errorf("xorbatch from %d: %v", s, err)
+				return
+			}
+			if err := snd.Send(s, 1, oneSidedHandler, Payload{}, 8, x10rt.DataClass); err != nil {
+				t.Errorf("done flag from %d: %v", s, err)
 			}
 		}(sender)
 	}
 	wg.Wait()
-	flushAll(m)
-	await(t, "adds accumulated", func() bool {
-		flushAll(m)
-		return atomic.LoadUint64(&win[0]) == 2*perSender
-	})
+	await(t, "both senders' ops landed", func() bool { flushAll(m); return done.Load() == 2 })
+	if v := atomic.LoadUint64(&win[0]); v != 2*perSender {
+		t.Errorf("adds accumulated %d, want %d", v, 2*perSender)
+	}
 	if v := atomic.LoadUint64(&win[1]); v != 0 {
 		t.Errorf("paired xors left %#x, want 0", v)
 	}
@@ -903,7 +961,7 @@ func testOneSidedDeath(t *testing.T, factory Factory) {
 
 	killAll(t, m, victim)
 
-	snd0 := m.Endpoint(0).(x10rt.OneSidedSender)
+	snd0 := m.Endpoint(0)
 	err := snd0.SendOneSided(0, victim, &x10rt.OneSidedOp{
 		Kind: x10rt.OneSidedAdd, Arena: 1, Off: 0, Val: 1,
 	})
@@ -914,8 +972,7 @@ func testOneSidedDeath(t *testing.T, factory Factory) {
 	if !errors.Is(err, x10rt.ErrPlaceDead) {
 		t.Errorf("op to victim does not unwrap to ErrPlaceDead: %v", err)
 	}
-	sndV := m.Endpoint(victim).(x10rt.OneSidedSender)
-	if err := sndV.SendOneSided(victim, 2, &x10rt.OneSidedOp{
+	if err := m.Endpoint(victim).SendOneSided(victim, 2, &x10rt.OneSidedOp{
 		Kind: x10rt.OneSidedAdd, Arena: 2, Off: 0, Val: 1,
 	}); !errors.Is(err, x10rt.ErrPlaceDead) {
 		t.Errorf("op from victim: err = %v, want ErrPlaceDead", err)

@@ -49,15 +49,6 @@ func wireNow() int64 { return int64(time.Since(wireEpoch)) }
 //   - Telemetry traffic (HandlerTelemetry) is never recorded, matching
 //     countable().
 
-// LedgerSink is implemented by transports that can attribute their
-// traffic to a WireLedger. Decorator transports (batching, counting,
-// chaos) forward the attachment to the layer that actually touches the
-// wire, and may additionally record their own costs (the
-// BatchingTransport records queue wait).
-type LedgerSink interface {
-	AttachWireLedger(lg *WireLedger)
-}
-
 // hkey identifies one handler's account at one place.
 type hkey struct {
 	place int
